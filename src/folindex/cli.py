@@ -53,11 +53,6 @@ def _write_dot(path, a, marking, labels=None):
 
 # -- invariants ---------------------------------------------------------------
 
-def _branch_records(scene, name):
-    return [r for r in scene.reduced
-            if r.corner is None and r.branch == name]
-
-
 def _combinatorial_invariants(scene, report):
     a, f, marking = scene.a, scene.f_matrix, scene.marking
     ledger = scene.ledger
@@ -118,30 +113,31 @@ def _combinatorial_invariants(scene, report):
                for b, c in divisor.terms) + 1
     report.check("telescoped mu", tele, mu,
                  formula="sum a_C (mu along C - 1) + 1")
-    _reduced_totals(scene, report, s_b)
+    _reduced_totals(report, s_b, a, marking, ledger, scene.reduced,
+                    {name: b.s for name, b in scene.branches.items()})
 
 
-def _reduced_totals(scene, report, s_b):
-    """CS/Var/BB totals where the scene's reduced records suffice."""
-    if not scene.reduced:
+def _reduced_totals(report, s_b, a, marking, ledger, reduced, attachments):
+    """CS/Var/BB totals where the reduced records suffice; `attachments`
+    maps each branch name to its attachment vector S."""
+    if not reduced:
         return
-    a, marking, ledger = scene.a, scene.marking, scene.ledger
     try:
         report.add("CS(balanced divisor)",
-                   cs_total(s_b, a, scene.reduced, marking),
+                   cs_total(s_b, a, reduced, marking),
                    formula=FORMULAS["cs"])
         mark = len(ledger.consumed)
         report.add("Var(balanced divisor)",
-                   var_total(s_b, s_b, a, scene.reduced, marking, ledger),
+                   var_total(s_b, s_b, a, reduced, marking, ledger),
                    formula=FORMULAS["var"],
                    hypotheses=_consumed(ledger, mark))
-        report.add("BB", bb_total(s_b, a, scene.reduced, marking),
+        report.add("BB", bb_total(s_b, a, reduced, marking),
                    formula=FORMULAS["bb"])
     except (MissingReducedData, InputError) as exc:
         report.note(f"index totals skipped: {exc}")
-    for name in scene.branches:
-        s = scene.branches[name].s
-        records = _branch_records(scene, name)
+    for name, s in attachments.items():
+        records = [r for r in reduced
+                   if r.corner is None and r.branch == name]
         try:
             cs = cs_total(s, a, records, marking)
             mark = len(ledger.consumed)
@@ -194,10 +190,11 @@ def cmd_invariants(args):
     seed, max_ext = _settings(scene, args)
     report = Report("invariants", scene.name, seed)
     res = None
+    if scene.kind == "pencil" or (scene.kind == "polynomial"
+                                  and scene.as_pencil):
+        raise InputError("this scene requests pencil treatment; "
+                         "run the pencil command")
     if scene.kind == "polynomial":
-        if scene.as_pencil:
-            raise InputError("this scene requests pencil treatment; "
-                             "run the pencil command")
         res = _polynomial_invariants(scene, report, args, seed, max_ext)
         a, marking = res.a, res.marking
     else:
@@ -248,24 +245,9 @@ def _pencil_report(scene, model, report, reduced=(), oracle_note=None):
     report.check("mu(pencil foliation)", mu, record.mu_pair,
                  formula=FORMULAS["mu_foliation"],
                  hypotheses=_consumed(ledger, mark))
-    if reduced:
-        scene_like = _SceneView(a, model.marking, ledger, reduced,
-                                {f.name: f for f in model.fibers()})
-        _reduced_totals(scene_like, report, s_b)
+    _reduced_totals(report, s_b, a, model.marking, ledger, reduced,
+                    {fib.name: fib.s for fib in model.fibers()})
     return s_b
-
-
-class _SceneView:
-    """Adapter so _reduced_totals works on a pencil model."""
-
-    def __init__(self, a, marking, ledger, reduced, fibers):
-        from .divisors import BranchAttachment
-        self.a = a
-        self.marking = marking
-        self.ledger = ledger
-        self.reduced = reduced
-        self.branches = {name: BranchAttachment(name, fib.s)
-                         for name, fib in fibers.items()}
 
 
 def cmd_pencil(args):

@@ -1,12 +1,23 @@
-"""Brute-force oracles: resultants after random shears.
+"""Brute-force oracles: resultants after a certified shear.
 
 Everything the combinatorial engine computes has an independent check here.
-The intersection number of two coprime germs is the x-valuation of their
-y-resultant after a random unimodular change of coordinates; a bad shear
-can only overcount, so the oracle keeps drawing shears until the minimal
-value has been seen several times (three by default).  Milnor numbers are
-intersection numbers of the partials, and the pencil Milnor number mu(f,g)
-is the intersection number of the coefficients of g df - f dg.
+The intersection number of two coprime germs f, g is read off a resultant
+(Fulton, *Algebraic Curves*, section 1.6).  Suppose that after a unimodular
+change of coordinates
+
+  1. f(0, y) is not identically zero,
+  2. the leading coefficient of f in y does not vanish at x = 0, and
+  3. gcd(f(0, y), g(0, y)) is a monomial c*y^k.
+
+Then every root y(x) of f is a Puiseux series in x, the origin is the only
+point of the line x = 0 where f and g meet, and ord_x Res_y(f, g) equals
+i_0(f, g) exactly.  The oracle tries the identity first, then random
+shears from the caller's seeded generator, with f and g in both roles,
+and answers from the first shear that meets the three conditions.
+Polynomials are sympy Polys in (y, x) over ZZ (clearing denominators only
+scales them) or over a number field.  Milnor numbers are intersection
+numbers of the partials, and the pencil Milnor number mu(f,g) is the
+intersection number of the coefficients of g df - f dg.
 
 Pencil bifurcation values are located exactly: the y-resultant of the
 partials of f + t*g is a polynomial in (x, t) whose generic x-valuation is
@@ -33,9 +44,8 @@ T = sympy.Symbol("t")
 
 INFINITE = math.inf
 
-
-def _rng(seed):
-    return random.Random(seed)
+IDENTITY = (1, 0, 0, 1)
+SHEARS = 14   # the identity plus 13 random shears
 
 
 def _unimodular(rng):
@@ -46,114 +56,98 @@ def _unimodular(rng):
             return a, b, c, d
 
 
-def _shear(expr, u):
+def _shear(p, u):
+    """p(a x + b y, c x + d y) for p in (y, x, ...), from cached powers."""
+    if u == IDENTITY:
+        return p
     a, b, c, d = u
-    return sympy.expand(expr.subs({X: a * X + b * Y, Y: c * X + d * Y},
-                                  simultaneous=True))
-
-
-def _as_poly(expr, domain):
-    return Poly(expr, X, Y, domain=domain)
+    lx = Poly(a * X + b * Y, *p.gens, domain=p.domain)
+    ly = Poly(c * X + d * Y, *p.gens, domain=p.domain)
+    xs, ys = [p.one], [p.one]
+    for _ in range(p.degree(X)):
+        xs.append(xs[-1] * lx)
+    for _ in range(p.degree(Y)):
+        ys.append(ys[-1] * ly)
+    out = p.zero
+    for (j, i, *rest), coeff in p.terms():
+        term = Poly.from_dict({(0, 0, *rest): coeff}, p.gens, domain=p.domain)
+        out += term * xs[i] * ys[j]
+    return out
 
 
 def _germ_order(p):
-    """Least total degree of a monomial (infinite for the zero poly)."""
-    monoms = p.monoms()
-    if not monoms:
-        return INFINITE
-    return min(a + b for a, b in monoms)
+    """Least total degree of a monomial of a nonzero Poly."""
+    return min(sum(m) for m in p.monoms())
 
 
-def _y_order_at_axis(expr, domain):
-    """Order in y of expr(0, y); INFINITE when the restriction vanishes."""
-    restricted = sympy.expand(expr.subs(X, 0))
-    if restricted == 0:
-        return INFINITE
-    p = Poly(restricted, Y, domain=domain)
-    return min(m[0] for m in p.monoms())
+def _certified(p, q):
+    """The three conditions above, with p or q in the role of f."""
+    p0, q0 = p.eval(X, 0), q.eval(X, 0)
+    # condition 2 implies condition 1: p(0, y) keeps p's degree in y
+    lead = p0.degree() == p.degree() or q0.degree() == q.degree()
+    return lead and p0.gcd(q0).is_monomial
 
 
-def _x_valuation(p):
-    """Least x-exponent of a univariate Poly in x; INFINITE for zero."""
-    d = p.as_dict()
-    if not d:
-        return INFINITE
-    return min(k[0] for k in d)
-
-
-def _intersection(fexpr, gexpr, domain, rng, agreements, max_trials):
-    """ord-of-resultant oracle over an explicit coefficient domain."""
-    if fexpr == 0 and gexpr == 0:
+def _intersection(p, q, rng):
+    """i_0 of two Polys in (y, x): ord_x of the first certified resultant."""
+    if p.is_zero and q.is_zero:
         raise InputError("intersection number of the zero ideal")
-    if fexpr == 0 or gexpr == 0:
-        other = _as_poly(gexpr if fexpr == 0 else fexpr, domain)
-        return INFINITE if _germ_order(other) > 0 else 0
-    pf, pg = _as_poly(fexpr, domain), _as_poly(gexpr, domain)
-    if _germ_order(pf) == 0 or _germ_order(pg) == 0:
+    if p.is_zero or q.is_zero:
+        return INFINITE if _germ_order(q if p.is_zero else p) > 0 else 0
+    if _germ_order(p) == 0 or _germ_order(q) == 0:
         return 0   # one germ is a unit at the origin
-    common = pf.gcd(pg)
+    common = p.gcd(q)
     if common.eval((0, 0)) == 0:
         return INFINITE   # shared branch through the origin
     if common.total_degree() > 0:
-        pf, pg = pf.exquo(common), pg.exquo(common)
-    mf, mg = _germ_order(pf), _germ_order(pg)
-    fe, ge = pf.as_expr(), pg.as_expr()
-
-    values = []
-    for _ in range(max_trials):
+        p, q = p.exquo(common), q.exquo(common)
+    u = IDENTITY
+    for _ in range(SHEARS):
+        pu, qu = _shear(p, u), _shear(q, u)
+        if _certified(pu, qu):
+            return min(m[0] for m in pu.resultant(qu).monoms())
         u = _unimodular(rng)
-        fu, gu = _shear(fe, u), _shear(ge, u)
-        if _y_order_at_axis(fu, domain) != mf or _y_order_at_axis(gu, domain) != mg:
-            continue   # tangent shear; the valuation would overcount
-        res = Poly(fu, Y, X, domain=domain).resultant(
-            Poly(gu, Y, X, domain=domain))
-        v = _x_valuation(res)
-        if v is INFINITE:
-            continue
-        values.append(v)
-        if values.count(min(values)) >= agreements:
-            return min(values)
-    if not values:
-        raise ChangeOfCoordinatesFailed(
-            f"all {max_trials} random shears were tangent to a germ")
-    raise OracleMismatch(f"no {agreements}-fold agreement on the intersection "
-                         f"number after {max_trials} shears; saw {values}")
+    raise ChangeOfCoordinatesFailed(
+        f"none of {SHEARS} shears separates the origin from the other "
+        "common points on the axis")
 
 
-def _coerce(f):
-    return f if isinstance(f, Germ) else Germ(f)
+def _poly(f, *gens):
+    """A Germ (or germ text) as a Poly over QQ in (y, x, *gens)."""
+    f = f if isinstance(f, Germ) else Germ(f)
+    return Poly(f.poly, Y, X, *gens, domain=QQ)
 
 
-def oracle_intersection(f, g, seed=0, agreements=3, max_trials=14):
-    """i_0(f, g) by sheared resultant valuation; math.inf on a common branch."""
-    f, g = _coerce(f), _coerce(g)
-    return _intersection(f.expr, g.expr, QQ, _rng(seed), agreements, max_trials)
+def _zz(p):
+    """p over ZZ; clearing denominators scales p, keeping every valuation."""
+    return p.clear_denoms(convert=True)[1]
 
 
-def _milnor_expr(fexpr, domain, rng, agreements=3, max_trials=14):
-    fx = sympy.expand(sympy.diff(fexpr, X))
-    fy = sympy.expand(sympy.diff(fexpr, Y))
-    return _intersection(fx, fy, domain, rng, agreements, max_trials)
+def oracle_intersection(f, g, seed=0):
+    """i_0(f, g) by a certified resultant; math.inf on a common branch."""
+    return _intersection(_zz(_poly(f)), _zz(_poly(g)), random.Random(seed))
+
+
+def _milnor(p, rng):
+    return _intersection(p.diff(X), p.diff(Y), rng)
 
 
 def oracle_milnor(f, seed=0):
     """mu_0(f) = i_0(f_x, f_y); math.inf for a non-isolated singularity."""
-    f = _coerce(f)
-    if not f.vanishes():
+    p = _zz(_poly(f))
+    if _germ_order(p) == 0:
         return 0
-    return _milnor_expr(f.expr, QQ, _rng(seed), 3, 14)
+    return _milnor(p, random.Random(seed))
 
 
 def oracle_mu_pair(f, g, seed=0):
     """mu(f, g) = i_0 of the coefficients of the 1-form g df - f dg."""
-    f, g = _coerce(f), _coerce(g)
-    p = sympy.expand(g.expr * sympy.diff(f.expr, X)
-                     - f.expr * sympy.diff(g.expr, X))
-    q = sympy.expand(g.expr * sympy.diff(f.expr, Y)
-                     - f.expr * sympy.diff(g.expr, Y))
-    if p == 0 and q == 0:
+    pf, pg = _zz(_poly(f)), _zz(_poly(g))
+    p = pg * pf.diff(X) - pf * pg.diff(X)
+    q = pg * pf.diff(Y) - pf * pg.diff(Y)
+    if p.is_zero and q.is_zero:
         raise InputError("the two germs span no pencil (proportional)")
-    return _intersection(p, q, QQ, _rng(seed), 3, 14)
+    return _intersection(p, q, random.Random(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +184,8 @@ class PencilBifurcationData:
         return tuple(c for c in self.candidates if c.status == "bifurcation")
 
 
-def _certify_candidate(f, g, m, rng, max_ext_degree):
+def _certify_candidate(h, m, rng, max_ext_degree):
+    """(value, mu) of the members h(t) = f + t g at the roots of m."""
     deg = m.degree()
     if deg > max_ext_degree:
         raise ExtensionDegreeExceeded(
@@ -199,14 +194,10 @@ def _certify_candidate(f, g, m, rng, max_ext_degree):
     if deg == 1:
         a1, a0 = m.all_coeffs()
         tau = sympy.Rational(-a0, a1)
-        member = f.expr + tau * g.expr
-        mu = _milnor_expr(member, QQ, rng)
-        return tau, mu
+        return tau, _milnor(_zz(h.eval(T, tau)), rng)
     alpha = sympy.CRootOf(m.as_expr(), T, 0)
     field = QQ.algebraic_field(alpha)
-    member = sympy.expand(f.expr + alpha * g.expr)
-    mu = _milnor_expr(member, field, rng)
-    return alpha, mu
+    return alpha, _milnor(h.set_domain(field).eval(T, alpha), rng)
 
 
 def bifurcation_candidates(f, g, seed=0, max_ext_degree=8, max_shears=6,
@@ -221,26 +212,25 @@ def bifurcation_candidates(f, g, seed=0, max_ext_degree=8, max_shears=6,
     coefficient are kept (and certified, hence flagged) instead of being
     removed by a second independent shear.
     """
-    f, g = _coerce(f), _coerce(g)
-    rng = _rng(seed)
-    if not (f.vanishes() and g.vanishes()):
+    rng = random.Random(seed)
+    pf, pg = _zz(_poly(f)), _zz(_poly(g))
+    if _germ_order(pf) == 0 or _germ_order(pg) == 0:
         raise InputError("pencil generators must vanish at the origin")
-    if _intersection(f.expr, g.expr, QQ, rng, 3, 14) is INFINITE:
+    if _intersection(pf, pg, rng) is INFINITE:
         raise UnsupportedGerm("generators share a branch; every member of the "
                               "pencil is non-reduced")
 
-    h = f.expr + T * g.expr
-    p0 = sympy.expand(sympy.diff(h, X))
-    q0 = sympy.expand(sympy.diff(h, Y))
+    h = _poly(f, T) + _poly(g, T) * Poly(T, Y, X, T)
+    p0, q0 = _zz(h.diff(X)), _zz(h.diff(Y))
 
     def low_coefficient(u):
-        res = sympy.resultant(_shear(p0, u), _shear(q0, u), Y)
-        if res == 0:
+        res = _shear(p0, u).resultant(_shear(q0, u))
+        if res.is_zero:
             raise UnsupportedGerm("the generic member has a non-isolated "
                                   "singularity")
-        coeffs = {k[0]: c for k, c in Poly(res, X).as_dict().items()}
-        v = min(coeffs)
-        return v, Poly(coeffs[v], T, domain=QQ)
+        v = min(i for i, _ in res.monoms())
+        return v, Poly.from_dict({(j,): c for (i, j), c in res.terms()
+                                  if i == v}, T, domain=QQ)
 
     for _ in range(max_shears):
         u = _unimodular(rng)
@@ -251,7 +241,7 @@ def bifurcation_candidates(f, g, seed=0, max_ext_degree=8, max_shears=6,
             tau = sympy.Rational(rng.randint(-99, 99), rng.randint(1, 9))
             if tau == 0 or c_low.eval(tau) == 0:
                 continue
-            samples.append((tau, _milnor_expr(f.expr + tau * g.expr, QQ, rng)))
+            samples.append((tau, _milnor(_zz(h.eval(T, tau)), rng)))
         if all(mu == v_gen for _, mu in samples):
             break
     else:
@@ -276,7 +266,7 @@ def bifurcation_candidates(f, g, seed=0, max_ext_degree=8, max_shears=6,
                                                         str(fm[0].as_expr()))):
             if m.degree() == 0:
                 continue
-            value, mu = _certify_candidate(f, g, m, rng, max_ext_degree)
+            value, mu = _certify_candidate(h, m, rng, max_ext_degree)
             if mu is INFINITE:
                 raise UnsupportedGerm(f"the member at t = {value} is "
                                       "non-reduced; out of scope")

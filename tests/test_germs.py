@@ -148,6 +148,19 @@ class TestIntersectionOracle:
 
     def test_smooth_transverse(self):
         assert oracle_intersection(Germ("x"), Germ("y")) == 1
+        # the y-leading coefficient of the first germ vanishes at x = 0
+        assert oracle_intersection(Germ("x*y^2 + y"), Germ("y + x")) == 1
+        # the curves also meet at (0, 1): unsheared, ord_x Res_y is 2
+        for seed in range(4):
+            assert oracle_intersection(Germ("y^2 - y + x"),
+                                       Germ("y^2 - y + 2*x"), seed=seed) == 1
+
+    def test_common_point_at_infinity(self):
+        # both y-leading coefficients vanish at x = 0 and the curves meet
+        # at infinity in the y direction, so the unsheared valuation is 6
+        for seed in range(4):
+            assert oracle_intersection(Germ("x*y^2 - y"),
+                                       Germ("x*y^2 - y + x^2"), seed=seed) == 2
 
     def test_cusp_against_axis(self):
         assert oracle_intersection(Germ("y^2 - x^3"), Germ("y")) == 3
@@ -173,6 +186,8 @@ class TestMilnorOracle:
         assert oracle_milnor(Germ("x*y")) == 1
         assert oracle_milnor(Germ("x*y + y^2 + x^3")) == 1
         assert oracle_milnor(Germ("x")) == 0
+        for p, q in ((5, 8), (8, 13), (13, 21)):
+            assert oracle_milnor(Germ(f"y^{p} - x^{q}")) == (p - 1) * (q - 1)
 
     def test_unit_germ(self):
         assert oracle_milnor(Germ("1 + x")) == 0
@@ -230,7 +245,7 @@ class TestBifurcationCandidates:
         data = bifurcation_candidates(f, g, seed=0, prune=False)
         by_status = {c.status: c for c in data.candidates}
         spurious = by_status["spurious"]
-        assert spurious.value == sympy.Rational(3, 5)
+        assert spurious.value == -13
         assert spurious.mu == 1
         real = by_status["bifurcation"]
         assert real.value == -1 and real.mu == 2

@@ -184,6 +184,9 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{\"kind\": \"nope\"}")
         assert main(["invariants", "--scene", str(bad)]) == 2
+        pencil = f"{SCENES}/node-cusp-pencil.json"
+        assert main(["invariants", "--scene", pencil]) == 2
+        assert "run the pencil command" in capsys.readouterr().err
 
     def test_exit_code_unsupported(self, tmp_path, capsys):
         doc = {"kind": "polynomial", "f": "(y^2 - 2*x^2)^2 - x^5",
