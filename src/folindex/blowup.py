@@ -15,13 +15,15 @@ intersection matrix of the exceptional components factors through it:
 
 so A is symmetric negative definite with det = 1, and -A^{-1} = F^{-1} F^{-T}
 has positive integer entries.  Both factorizations are exact integer
-computations here.
+computations here.  Each row of F has at most two off-diagonal entries, so
+F^{-1} v and F^{-T} v are single substitutions over the center lists, O(n)
+per vector; the dense inverses are kept only as an independent reference.
 """
 
 from dataclasses import dataclass, field
 
 from . import exact
-from .errors import IndexOutOfRange, InvalidCenter
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidCenter
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,28 @@ class CholeskyMatrix:
         """F^{-1}; integer entries, all nonnegative."""
         return exact.unit_lower_inverse(self.rows)
 
+    def solve(self, v):
+        """F^{-1} v by forward substitution: x_k = v_k + sum of x_i over center k."""
+        x = self._checked_copy(v)
+        for k, center in enumerate(self.program.centers):
+            for i in center:
+                x[k] += x[i - 1]
+        return tuple(x)
+
+    def solve_transpose(self, v):
+        """F^{-T} v by backward substitution: each final x_k adds to its centers."""
+        x = self._checked_copy(v)
+        for k in range(self.n - 1, -1, -1):
+            for i in self.program.centers[k]:
+                x[i - 1] += x[k]
+        return tuple(x)
+
+    def _checked_copy(self, v):
+        if len(v) != self.n:
+            raise DimensionMismatch(f"vector has length {len(v)}, program has "
+                                    f"{self.n}")
+        return list(v)
+
     def transpose(self):
         return exact.transpose(self.rows)
 
@@ -157,16 +181,28 @@ def build_cholesky(program):
 
 
 def build_intersection(f):
-    """A = -F^T F, computed exactly."""
-    a = exact.mat_neg(exact.matmul(f.transpose(), f.rows))
-    return IntersectionMatrix(a, f)
+    """A = -F^T F as a sum of rank-one terms, one per row of F.
+
+    Row k of F is e_k minus the unit vectors of its center, so each term
+    touches at most three rows and columns of A.
+    """
+    n = f.n
+    a = [[0] * n for _ in range(n)]
+    for k, center in enumerate(f.program.centers):
+        row = [(k, 1)] + [(i - 1, -1) for i in center]
+        for p, x in row:
+            for q, y in row:
+                a[p][q] -= x * y
+    return IntersectionMatrix(tuple(tuple(r) for r in a), f)
 
 
 def neg_inverse(a):
-    """-A^{-1} = F^{-1} F^{-T}; positive integer entries.
+    """-A^{-1} = F^{-1} F^{-T} as a dense matrix; positive integer entries.
 
-    Computed through the Cholesky factor when one is attached, which keeps
-    the arithmetic integral; otherwise by exact rational elimination.
+    The pairings never build it (see CholeskyMatrix.solve); it is the
+    independent reference for verify's positive-inverse check.  Computed
+    through the Cholesky factor when one is attached, which keeps the
+    arithmetic integral; otherwise by exact rational elimination.
     """
     if a.cholesky is not None:
         finv = a.cholesky.inverse()

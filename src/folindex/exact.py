@@ -1,8 +1,10 @@
-"""Exact dense linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers and rationals.
 
 Matrices are tuples of tuples, vectors are tuples.  Everything is immutable
-and exact; no floating point.  Sizes here are the number of exceptional
-components of a resolution, so dense arithmetic is entirely adequate.
+and exact; no floating point.  Inverses, products and determinants cost
+O(n^3) in the number of exceptional components.  The lattice pairings do
+not use them (they solve with F over the center lists, see blowup); here
+they serve as independent checks and reference values.
 """
 
 from fractions import Fraction

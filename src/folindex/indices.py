@@ -18,6 +18,13 @@ vector of a curve, the operations compute:
   BB_0                            sum of local BB + <-A^{-1}S_B, S_B>
                                                   - 2<S_B, iota> - <A iota, iota>
 
+No inverse is built.  Each pairing is a backward substitution F^{-T} s
+followed by a forward substitution F^{-1}, both O(n) over the center lists
+of the program (CholeskyMatrix.solve_transpose and solve).  Dense inverses
+remain only where an independent route is the point: verify's
+positive-inverse check, the tests' reference values, and the rational
+fallback for an intersection matrix that carries no Cholesky factor.
+
 The local sums run over the finitely many reduced singular points that
 survive on the exceptional divisor; their values enter as exact rationals
 (or exact algebraic numbers) through ReducedSingularity records.
@@ -154,7 +161,11 @@ def _invert(r):
 # core pairings
 
 def _neg_inv_apply(a, s):
-    return exact.matvec(a.neg_inverse(), s)
+    """-A^{-1} s = F^{-1}(F^{-T} s); dense only for a matrix without F."""
+    f = a.cholesky
+    if f is None:
+        return exact.matvec(a.neg_inverse(), s)
+    return f.solve(f.solve_transpose(s))
 
 
 def _require_cholesky(a, operation):
@@ -180,7 +191,7 @@ def curve_multiplicity_sequence(s_c, f):
     """(F^{-1})^T S_C: multiplicities of the curve at the blow-up centers."""
     if len(s_c) != f.n:
         raise DimensionMismatch(f"vector length {len(s_c)} vs program {f.n}")
-    return exact.matvec(exact.transpose(f.inverse()), s_c)
+    return f.solve_transpose(s_c)
 
 
 def vanishing_orders(s_c, a):
@@ -197,7 +208,7 @@ def discrepancies(s_b, marking, f, ledger):
     ledger.require("discrepancies", "second_class")
     if len(s_b) != f.n or marking.n != f.n:
         raise DimensionMismatch("S_B, marking and program sizes disagree")
-    lhs = exact.matvec(exact.transpose(f.inverse()), s_b)
+    lhs = f.solve_transpose(s_b)
     rhs = exact.matvec(f.rows, marking.iota)
     return exact.vec_sub(lhs, rhs)
 
@@ -205,7 +216,7 @@ def discrepancies(s_b, marking, f, ledger):
 def _mu_form(s, a):
     f = _require_cholesky(a, "milnor formula")
     u = exact.ones(a.n)
-    iu = exact.vec_add(u, exact.matvec(f.inverse(), u))
+    iu = exact.vec_add(u, f.solve(u))
     value = quadratic_pairing(s, s, a) - exact.dot(s, iu) + 1
     if not isinstance(value, int):
         raise NonIntegerResult(f"milnor formula produced {value}")
@@ -282,7 +293,7 @@ def milnor_along(s_b, s_d, a):
         s_d = total_vector(s_d, a.n)
     _check_len(a, s_d, "S_D")
     u = exact.ones(a.n)
-    iu = exact.vec_add(u, exact.matvec(f.inverse(), u))
+    iu = exact.vec_add(u, f.solve(u))
     vec = exact.vec_sub(_neg_inv_apply(a, s_b), iu)
     return exact.dot(vec, s_d) + 1
 

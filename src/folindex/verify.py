@@ -258,8 +258,13 @@ def verify_battery(count=200, seed=0, max_n=12):
     """Run every check on `count` random programs; stats on success.
 
     Raises PropertyViolation on the first broken identity; the exception's
-    `scene` attribute holds a minimized reproduction document.
+    `scene` attribute holds a minimized reproduction document.  A negative
+    count or a largest program size below 1 is an InputError.
     """
+    if count < 0:
+        raise InputError(f"program count must be nonnegative, got {count}")
+    if max_n < 1:
+        raise InputError(f"largest program size must be at least 1, got {max_n}")
     rng = random.Random(f"verify-{seed}")
     runs = {check: 0 for check in CHECKS}
     for trial in range(count):

@@ -5,7 +5,7 @@ import pytest
 from folindex.blowup import (BlowUpProgram, IntersectionMatrix, build_cholesky,
                              build_intersection)
 from folindex.divisors import InvariantMarking
-from folindex.errors import (HypothesisMissing, InputError,
+from folindex.errors import (DimensionMismatch, HypothesisMissing, InputError,
                              MissingReducedData, NonIntegerResult)
 from folindex.indices import (HypothesisLedger, ReducedSingularity, bb_total,
                               cs_combinatorial, cs_total,
@@ -275,6 +275,35 @@ class TestCsVarBb:
         stray = ReducedSingularity(component=1, cs=-1)
         with pytest.raises(InputError):
             cs_total((1, 0, 0), a, [stray], MARK)
+
+
+# every pairing entry point, called with one vector of the wrong length
+WRONG_LENGTH = {
+    "quadratic_pairing.s": lambda f, a, v: quadratic_pairing(v, S_B, a),
+    "quadratic_pairing.t": lambda f, a, v: quadratic_pairing(S_B, v, a),
+    "intersection_number.f": lambda f, a, v: intersection_number(v, S_H, a),
+    "intersection_number.g": lambda f, a, v: intersection_number(S_H, v, a),
+    "curve_multiplicity_sequence":
+        lambda f, a, v: curve_multiplicity_sequence(v, f),
+    "vanishing_orders": lambda f, a, v: vanishing_orders(v, a),
+    "discrepancies": lambda f, a, v: discrepancies(v, MARK, f, ledger()),
+    "milnor_curve": lambda f, a, v: milnor_curve(v, a),
+    "milnor_along.b": lambda f, a, v: milnor_along(v, S_H, a),
+    "milnor_along.d": lambda f, a, v: milnor_along(S_B, v, a),
+    "gsv.b": lambda f, a, v: gsv(v, S_H, a),
+    "gsv.c": lambda f, a, v: gsv(S_B, v, a),
+    "solve": lambda f, a, v: f.solve(v),
+    "solve_transpose": lambda f, a, v: f.solve_transpose(v),
+}
+
+
+@pytest.mark.parametrize("vector", [(1, 1), (1, 1, 1, 1)],
+                         ids=["short", "long"])
+@pytest.mark.parametrize("name", sorted(WRONG_LENGTH))
+def test_wrong_length_raises(tower, name, vector):
+    f, a = tower
+    with pytest.raises(DimensionMismatch):
+        WRONG_LENGTH[name](f, a, vector)
 
 
 def test_non_integer_result_guard():

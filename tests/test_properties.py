@@ -1,6 +1,7 @@
 """Property tests: the structural identities on random programs."""
 
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from folindex.indices import (HypothesisLedger, gsv, gsv_sum_rule_check,
                               milnor_curve, milnor_decomposition,
                               milnor_foliation, quadratic_pairing)
 from folindex.scenes import decode_value, encode_value
+from folindex.verify import random_program_lists
 
 
 @st.composite
@@ -139,6 +141,42 @@ class TestQuadraticForm:
         s1 = payload.draw(vectors(a.n))
         s2 = payload.draw(vectors(a.n))
         assert gsv_sum_rule_check(s_b, s1, s2, a).ok
+
+
+class TestSubstitution:
+    """The O(n) solves against the dense inverses they replace."""
+
+    @given(matrices(), st.data())
+    def test_solves_match_dense_inverse(self, data, payload):
+        _, f, _ = data
+        v = payload.draw(vectors(f.n, -9, 9))
+        finv = f.inverse()
+        assert f.solve(v) == exact.matvec(finv, v)
+        assert f.solve_transpose(v) == exact.matvec(exact.transpose(finv), v)
+
+    @given(matrices(), st.data())
+    def test_pairing_matches_dense_neg_inverse(self, data, payload):
+        _, _, a = data
+        s = payload.draw(vectors(a.n, -9, 9))
+        t = payload.draw(vectors(a.n, -9, 9))
+        assert quadratic_pairing(s, t, a) == exact.dot(
+            exact.matvec(a.neg_inverse(), s), t)
+
+    def test_sixty_blowups(self):
+        rng = random.Random("sixty-blowups")
+        lists = random_program_lists(rng, 120)
+        while len(lists) < 60:
+            lists = random_program_lists(rng, 120)
+        program = BlowUpProgram.from_lists(lists[:60])
+        assert any(len(c) == 2 for c in program.centers)
+        f = build_cholesky(program)
+        a = build_intersection(f)
+        assert a.rows == intersection_by_steps(program)
+        assert a.rows == exact.mat_neg(exact.matmul(f.transpose(), f.rows))
+        s = tuple(rng.randint(0, 3) for _ in range(60))
+        t = tuple(rng.randint(0, 3) for _ in range(60))
+        assert quadratic_pairing(s, t, a) == exact.dot(
+            exact.matvec(a.neg_inverse(), s), t)
 
 
 class TestBalanced:

@@ -227,6 +227,14 @@ class TestCli:
         assert "result: PASS" in out
         assert "decomposition" in out
 
+    @pytest.mark.parametrize("argv", [["--max-n", "0"], ["--max-n", "-2"],
+                                      ["--count", "-1"]])
+    def test_verify_rejects_bad_sizes(self, argv, capsys):
+        assert main(["verify", "--count", "3", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ")
+        assert captured.out == ""
+
     def test_dot_output(self, tmp_path, capsys):
         dot = tmp_path / "graph.dot"
         assert main(["invariants", "--scene", f"{SCENES}/radial.json",
