@@ -7,7 +7,8 @@ the current field works by eliminating the generators with iterated
 resultants, factoring the result over Q, and identifying the right
 factor and root index numerically; the identification is certified
 exactly inside the extended field, so a precision shortfall can only
-cause a retry, never a wrong tower.
+cause a retry, never a wrong tower.  The root comes back as an element
+of the extended domain, which Polys enter by `Poly.set_domain`.
 """
 
 import sympy
@@ -25,11 +26,6 @@ def field_of(gens):
 
 def field_degree(K):
     return 1 if K == QQ else K.ext.minpoly.degree()
-
-
-def convert_poly(p, K2):
-    """Rebuild a Poly over a larger field of the same tower."""
-    return Poly(p.as_expr(), *p.gens, domain=K2)
 
 
 def _eliminate(expr, gens, var):

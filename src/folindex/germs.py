@@ -10,12 +10,15 @@ literal nonnegative integers — anything else is not a polynomial germ.
 Germ wraps a sympy Poly in (x, y) and answers the local questions the
 front-end needs: multiplicity at the origin, partial derivatives, and
 whether the germ is reduced at the origin (no repeated factor through 0).
+`substitute` is the one linear-substitution kernel: the oracle's shears
+and the resolution tower's translations both call it.
 """
 
 import string
 from fractions import Fraction
 
 import sympy
+from sympy import QQ, Poly
 
 from .errors import GermSyntaxError, InputError, NonPolynomial
 
@@ -198,16 +201,37 @@ def parse_germ(text):
     return _Parser(text).parse()
 
 
+def substitute(p, lx, ly):
+    """p(lx, ly) for Polys lx, ly in p's ring, from cached powers.
+
+    x and y are found through p.gens, so the oracle's (y, x, t) and the
+    tower's (x, y) both work; coefficients stay in p's domain."""
+    if p.is_zero:
+        return p
+    ix, iy = p.gens.index(X), p.gens.index(Y)
+    xs, ys = [p.one], [p.one]
+    for _ in range(p.degree(X)):
+        xs.append(xs[-1] * lx)
+    for _ in range(p.degree(Y)):
+        ys.append(ys[-1] * ly)
+    out = p.zero
+    for monom, coeff in p.as_dict(native=True).items():
+        rest = list(monom)
+        rest[ix] = rest[iy] = 0
+        term = Poly.from_dict({tuple(rest): coeff}, p.gens, domain=p.domain)
+        out += term * xs[monom[ix]] * ys[monom[iy]]
+    return out
+
+
 class Germ:
     """A polynomial germ at the origin of the (x, y) plane."""
 
     def __init__(self, poly, name=None):
         if isinstance(poly, str):
             self.coeffs = parse_germ(poly)
-            expr = sympy.Add(*(sympy.Rational(v.numerator, v.denominator)
-                               * X**a * Y**b
-                               for (a, b), v in self.coeffs.items()))
-            self.poly = sympy.Poly(expr, X, Y, domain="QQ")
+            self.poly = Poly.from_dict(
+                {m: QQ(v.numerator, v.denominator)
+                 for m, v in self.coeffs.items()}, X, Y, domain=QQ)
         elif isinstance(poly, sympy.Poly):
             self.poly = sympy.Poly(poly, X, Y)
             self.coeffs = {m: Fraction(c.p, c.q) if c.is_Rational else c

@@ -38,7 +38,7 @@ from sympy import QQ, Poly
 from .errors import (CandidateUncertified, ChangeOfCoordinatesFailed,
                      ExtensionDegreeExceeded, InputError, OracleMismatch,
                      UnsupportedGerm)
-from .germs import Germ, X, Y
+from .germs import Germ, X, Y, substitute
 
 T = sympy.Symbol("t")
 
@@ -57,22 +57,12 @@ def _unimodular(rng):
 
 
 def _shear(p, u):
-    """p(a x + b y, c x + d y) for p in (y, x, ...), from cached powers."""
+    """p(a x + b y, c x + d y) for p in (y, x, ...)."""
     if u == IDENTITY:
         return p
     a, b, c, d = u
-    lx = Poly(a * X + b * Y, *p.gens, domain=p.domain)
-    ly = Poly(c * X + d * Y, *p.gens, domain=p.domain)
-    xs, ys = [p.one], [p.one]
-    for _ in range(p.degree(X)):
-        xs.append(xs[-1] * lx)
-    for _ in range(p.degree(Y)):
-        ys.append(ys[-1] * ly)
-    out = p.zero
-    for (j, i, *rest), coeff in p.terms():
-        term = Poly.from_dict({(0, 0, *rest): coeff}, p.gens, domain=p.domain)
-        out += term * xs[i] * ys[j]
-    return out
+    return substitute(p, Poly(a * X + b * Y, *p.gens, domain=p.domain),
+                      Poly(c * X + d * Y, *p.gens, domain=p.domain))
 
 
 def _germ_order(p):

@@ -10,6 +10,10 @@ node standing for d conjugate points.  Expanding the orbits yields the
 blow-up program, the attachment vectors, the dicritical marking of a
 pencil, per-branch multiplicity sequences and characteristic exponents.
 
+Strict transforms stay Polys in (x, y) over the current field: a chart
+is a monomial map, a field change `Poly.set_domain`, and the translation
+to a root `germs.substitute` with the root kept as a field element.
+
 Everything derived here is cross-checked: intersection numbers three ways
 (resultant oracle, quadratic pairing, multiplicity sums over the tree),
 Milnor numbers against the oracle, and branch data against the label
@@ -23,12 +27,12 @@ from dataclasses import dataclass
 import sympy
 from sympy import Poly, QQ
 
-from .algfield import ALPHA, convert_poly, extend
+from .algfield import ALPHA, extend
 from .blowup import BlowUpProgram, build_cholesky, build_intersection
 from .divisors import BranchAttachment, InvariantMarking, total_vector
 from .errors import (CheckFailed, ExtensionDegreeExceeded, InputError,
                      OracleMismatch, UnsupportedGerm)
-from .germs import Germ, X, Y
+from .germs import Germ, X, Y, substitute
 from .indices import (HypothesisLedger, intersection_number, milnor_curve,
                       milnor_foliation)
 from .oracle import (INFINITE, bifurcation_candidates, oracle_intersection,
@@ -42,30 +46,20 @@ def _order(p):
     return min(a + b for a, b in p.monoms())
 
 
-def _direction_poly(p, m, K):
+def _direction_poly(p, m):
     """q(w): the lowest form of p restricted to the direction line y = wx."""
-    expr = sum(c * Y**b for (a, b), c in zip(p.monoms(), p.coeffs())
-               if a + b == m)
-    return Poly(expr, Y, domain=K)
+    return Poly.from_dict({(b,): c for (a, b), c in
+                           p.as_dict(native=True).items() if a + b == m},
+                          Y, domain=p.domain)
 
 
-def _chart_finite(p, m, K):
-    """Strict transform in the chart (x, y) -> (x, xy), divided by x^m."""
-    expr = sum(c * X**(a + b - m) * Y**b
-               for (a, b), c in zip(p.monoms(), p.coeffs()))
-    return Poly(expr, X, Y, domain=K)
-
-
-def _chart_infinity(p, m, K):
-    """Strict transform in the chart (x, y) -> (xy, y), divided by y^m."""
-    expr = sum(c * X**a * Y**(a + b - m)
-               for (a, b), c in zip(p.monoms(), p.coeffs()))
-    return Poly(expr, X, Y, domain=K)
-
-
-def _translate(p, root_expr, K):
-    return Poly(sympy.expand(p.as_expr().subs(Y, Y + root_expr)),
-                X, Y, domain=K)
+def _chart(p, m, step):
+    """Strict transform in the chart of a direction, divided by the m-th
+    power of the exceptional equation: (x, y) -> (xy, y) at infinity,
+    (x, y) -> (x, xy) at every finite direction."""
+    rep = {((a, a + b - m) if step == "inf" else (a + b - m, b)): c
+           for (a, b), c in p.as_dict(native=True).items()}
+    return Poly.from_dict(rep, X, Y, domain=p.domain)
 
 
 class _Orbit:
@@ -125,7 +119,7 @@ def _blow(node, max_ext_degree):
                           "is some input germ non-reduced?")
     directions = {}
     for name, p in node.labels.items():
-        q = _direction_poly(p, node.mults[name], node.K)
+        q = _direction_poly(p, node.mults[name])
         directions[name] = (q, node.mults[name] - q.degree())
 
     points = []
@@ -153,26 +147,25 @@ def _blow(node, max_ext_degree):
             (label,) = mults
             node.finishes.append(_Finish(label, node, step, rel, tangent))
             continue
+        labels = {name: _chart(node.labels[name], node.mults[name], step)
+                  for name in mults}
         if step == "inf":
-            labels = {name: _chart_infinity(node.labels[name],
-                                            node.mults[name], node.K)
-                      for name in mults}
             child = _Orbit(node, "inf", node.axis_x, node, node.gens,
                            node.K, labels, 1, tangent)
         else:
             gens, K = node.gens, node.K
             if phi.degree() == 1:
-                root_expr = -phi.all_coeffs()[1]
+                beta = -phi.rep.TC()    # phi is monic: y - beta
             else:
                 gens, K, beta = extend(node.gens, node.K, phi, max_ext_degree)
-                root_expr = K.to_sympy(beta)
-            labels = {}
-            for name in mults:
-                p = _chart_finite(node.labels[name], node.mults[name], node.K)
+            x = Poly.from_dict({(1, 0): K.one}, X, Y, domain=K)
+            y_beta = Poly.from_dict({(0, 1): K.one, (0, 0): beta}, X, Y,
+                                    domain=K)
+            for name, p in labels.items():
                 if K is not node.K:
-                    p = convert_poly(p, K)
-                if root_expr != 0:
-                    p = _translate(p, root_expr, K)
+                    p = p.set_domain(K)
+                if beta:
+                    p = substitute(p, x, y_beta)
                 labels[name] = p
             axis_y = node.axis_y if step == "zero" else None
             child = _Orbit(node, step, node, axis_y, gens, K, labels, rel,
@@ -433,8 +426,7 @@ def _normalize_germs(germs, mode):
 
 
 def _grow(items, max_ext_degree):
-    labels = {name: Poly(germ.poly.as_expr(), X, Y, domain=QQ)
-              for name, germ in items}
+    labels = {name: germ.poly.set_domain(QQ) for name, germ in items}
     root = _Orbit(None, "root", None, None, (), QQ, labels, 1)
     _blow(root, max_ext_degree)
     return root

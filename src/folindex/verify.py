@@ -7,8 +7,9 @@ minimized reproduction scene: the battery re-runs the broken check on
 smaller and smaller truncations of the offending data and reports the
 smallest one that still fails, as a combinatorial scene document.
 
-Each check is a pure predicate of a scene-shaped dict, so the document in
-the exception is exactly what a re-run needs.
+Each check is a pure predicate of the parts built once from a
+scene-shaped dict, so the document in the exception is exactly what a
+re-run needs.
 """
 
 import itertools
@@ -120,11 +121,10 @@ def _divisors(marking, a, isolated):
         enumerate_balanced(marking, a, tuple(isolated)), 4))
 
 
-def _holds(doc, check):
-    """True iff the named identity holds on the document's data."""
-    program, f, a, marking, isolated, probes = _build(doc)
+def _holds(parts, check):
+    """True iff the named identity holds on a document's built parts."""
+    program, f, a, marking, isolated, probes = parts
     n = a.n
-    u = exact.ones(n)
     if check == "steps-factorization":
         return intersection_by_steps(program) == a.rows and \
             exact.mat_neg(exact.matmul(f.transpose(), f.rows)) == a.rows
@@ -139,7 +139,7 @@ def _holds(doc, check):
         return all(e > 0 for row in a.neg_inverse() for e in row)
     if check == "prefix-consistency":
         for k in range(1, n + 1):
-            sub = build_cholesky(BlowUpProgram.from_lists(doc["blowups"][:k]))
+            sub = build_cholesky(program.prefix(k))
             if a.prefix(k).cholesky.rows != sub.rows:
                 return False
         return True
@@ -201,19 +201,13 @@ CHECKS = (
 )
 
 
-def _usable(doc):
+def _fails(doc, check):
     try:
-        _build(doc)
+        parts = _build(doc)
     except FolindexError:
         return False
-    return True
-
-
-def _fails(doc, check):
-    if not _usable(doc):
-        return False
     try:
-        return not _holds(doc, check)
+        return not _holds(parts, check)
     except InputError:
         return False
     except FolindexError:
@@ -269,10 +263,13 @@ def verify_battery(count=200, seed=0, max_n=12):
     runs = {check: 0 for check in CHECKS}
     for trial in range(count):
         doc = random_scene_doc(rng, max_n)
+        parts = None
         for check in CHECKS:
             ok = False
             try:
-                ok = _holds(doc, check)
+                if parts is None:
+                    parts = _build(doc)
+                ok = _holds(parts, check)
             finally:
                 if not ok:
                     scene = _shrink(doc, check)

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
+from sympy import QQ, ZZ, Poly
 
 from folindex.errors import (ExtensionDegreeExceeded, GermSyntaxError,
                              InputError, NonPolynomial, UnsupportedGerm)
-from folindex.germs import Germ, X, Y, parse_germ
+from folindex.germs import Germ, X, Y, parse_germ, substitute
 from folindex.oracle import (INFINITE, bifurcation_candidates,
                              oracle_intersection, oracle_milnor,
                              oracle_mu_pair)
@@ -137,6 +139,60 @@ class TestGerm:
         assert f.combine(g, -1).expr == sympy.expand(X**3 + Y**2)
         assert f.combine(g, F(3, 5)).expr == sympy.expand(
             sympy.Rational(8, 5) * X * Y + Y**2 + X**3)
+
+
+def _field(r):
+    K = QQ.algebraic_field(r)
+    return K, K.from_sympy(r)
+
+
+# each domain with an element r: coefficients are drawn as (a + b r) / d
+DOMAINS = {"ZZ": (ZZ, ZZ.zero), "QQ": (QQ, QQ.zero),
+           "QQ<sqrt(2)>": _field(sympy.sqrt(2)), "QQ<I>": _field(sympy.I)}
+GENS = {"tower (x, y)": (X, Y), "oracle (y, x, t)": (Y, X, T)}
+
+
+@st.composite
+def coefficients(draw, domain):
+    K, r = DOMAINS[domain]
+    c = K.convert(draw(st.integers(-3, 3))) \
+        + K.convert(draw(st.integers(-2, 2))) * r
+    return c if K == ZZ else c / K.convert(draw(st.integers(1, 3)))
+
+
+@st.composite
+def substitutions(draw, domain, gens):
+    """(p, lx, ly): p with up to six terms, lx and ly affine in x and y."""
+    K = DOMAINS[domain][0]
+    p = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(gens)),
+                             coefficients(domain), max_size=6))
+    unit = [tuple(int(g == h) for g in gens) for h in (X, Y, None)]
+    lx, ly = ({m: draw(coefficients(domain)) for m in unit}
+              for _ in range(2))
+    return tuple(Poly.from_dict(rep, *gens, domain=K) for rep in (p, lx, ly))
+
+
+class TestSubstitute:
+    """The linear-substitution kernel against an Expr subs + expand."""
+
+    @pytest.mark.parametrize("gens", GENS)
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_expr_reference(self, domain, gens, data):
+        p, lx, ly = data.draw(substitutions(domain, GENS[gens]))
+        got = substitute(p, lx, ly)
+        assert (got.gens, got.domain) == (p.gens, p.domain)
+        want = p.as_expr().subs({X: lx.as_expr(), Y: ly.as_expr()},
+                                simultaneous=True)
+        assert sympy.expand(got.as_expr() - want) == 0
+
+    def test_keeps_other_generators(self):
+        p = Poly(T * X * Y + Y**2, Y, X, T, domain=QQ)
+        x = Poly(X + Y, Y, X, T, domain=QQ)
+        y = Poly(Y - 2, Y, X, T, domain=QQ)
+        assert substitute(p, x, y) == Poly(
+            T * (X + Y) * (Y - 2) + (Y - 2)**2, Y, X, T, domain=QQ)
 
 
 class TestIntersectionOracle:

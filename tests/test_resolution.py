@@ -1,6 +1,7 @@
 """Reduction trees checked against worked examples and the oracle."""
 
 import pytest
+import sympy
 
 from folindex.blowup import valence
 from folindex.errors import InputError, UnsupportedGerm
@@ -72,6 +73,21 @@ def test_conjugate_triple():
     assert sizes == [1, 2, 2]
     # one rational branch against a conjugate pair, plus the pair itself
     assert r.pairwise == {(1, 2): 2, (2, 2): 1}
+
+
+def test_tower_over_gaussian_field():
+    # two conjugate cusps with tangents y = +-i x: one orbit over Q(i)
+    r = derive_resolution("(y^2 + x^2)^2 - x^5")
+    assert r.milnor == {"c1": 11}
+    assert r.program.to_lists() == [[], [1], [1], [1, 2], [1, 3]]
+    assert r.s_vectors == {"c1": (0, 0, 0, 1, 1)}
+    i_tangent = sympy.CRootOf(sympy.Symbol("_alpha") ** 2 + 1, 0)
+    assert [(b.component, b.conjugates, b.orbit, b.tangent,
+             b.multiplicity_sequence, b.char_exponents)
+            for b in r.branches["c1"]] == [
+        (4, 2, 1, i_tangent, (2, 1, 1), (2, 3)),
+        (5, 2, 1, i_tangent, (2, 1, 1), (2, 3))]
+    assert branch_analysis("(y^2 + x^2)^2 - x^5").pairwise == {(1, 1): 4}
 
 
 def test_tangent_smooth_pair():
