@@ -6,6 +6,14 @@ numbers, GSV, Camacho-Sad, Variation and Baum-Bott indices as exact
 pairings against -A^{-1}.  A polynomial front-end derives the blow-up
 combinatorics of curve germs and pencils over Q and cross-checks every
 derived value against resultant-based oracles.
+
+Importing the package loads only the integer core, scenes, reports and
+the verify battery.  The polynomial front end (the submodules `germs`,
+`oracle`, `resolve` and `algfield`, and with them sympy) loads on first
+use of one of its names: `Germ`, `parse_germ`, `INFINITE`, `Candidate`,
+`PencilBifurcationData`, `bifurcation_candidates`, `oracle_intersection`,
+`oracle_milnor`, `oracle_mu_pair`, `Branch`, `BranchData`,
+`DerivedResolution`, `branch_analysis` and `derive_resolution`.
 """
 
 from .blowup import (BlowUpProgram, CholeskyMatrix, IntersectionMatrix,
@@ -23,7 +31,6 @@ from .errors import (CandidateUncertified, ChangeOfCoordinatesFailed,
                      NotBalanced, OracleMismatch, PathMismatch,
                      PropertyViolation, SceneParseError, SingularMatrix,
                      UnsupportedGerm)
-from .germs import Germ, parse_germ
 from .indices import (HypothesisLedger, MilnorDecomposition,
                       ReducedSingularity, bb_total, cs_combinatorial,
                       cs_total, curve_multiplicity_sequence, discrepancies,
@@ -31,18 +38,42 @@ from .indices import (HypothesisLedger, MilnorDecomposition,
                       milnor_along, milnor_curve, milnor_decomposition,
                       milnor_foliation, quadratic_pairing, var_total,
                       vanishing_orders)
-from .oracle import (INFINITE, Candidate, PencilBifurcationData,
-                     bifurcation_candidates, oracle_intersection,
-                     oracle_milnor, oracle_mu_pair)
 from .pencil import (BifurcationRecord, Fiber, PencilModel,
                      bifurcation_formula_check, fiber_balanced_divisor,
                      fiber_gsv_check, semitame_check, unfolding_dimension)
 from .report import Report, ReportEntry
-from .resolve import (Branch, BranchData, DerivedResolution, branch_analysis,
-                      derive_resolution)
 from .scenes import (Scene, decode_value, derived_scene, dump_scene,
                      encode_value, load_scene, parse_scene,
                      polynomial_scene)
 from .verify import random_program_lists, verify_battery
 
 __version__ = "0.1.0"
+
+# the polynomial front end, exported lazily (PEP 562) so that importing
+# the package does not import sympy
+_LAZY = {
+    "germs": ("Germ", "parse_germ"),
+    "oracle": ("INFINITE", "Candidate", "PencilBifurcationData",
+               "bifurcation_candidates", "oracle_intersection",
+               "oracle_milnor", "oracle_mu_pair"),
+    "resolve": ("Branch", "BranchData", "DerivedResolution",
+                "branch_analysis", "derive_resolution"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_SUBMODULES = ("algfield", *_LAZY)
+
+
+def __getattr__(name):
+    from importlib import import_module
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULES, *_HOME})
+
+
+__all__ = [name for name in __dir__() if not name.startswith("_")]

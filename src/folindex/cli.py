@@ -5,6 +5,10 @@ own data), computes exact invariants, and prints a report as text or
 JSON.  Exit codes: 0 all checks pass, 1 an identity or cross-check
 failed, 2 bad input, 3 the germ needs a field extension beyond the
 configured bound or is otherwise outside the supported class.
+
+The polynomial front end (`oracle`, `resolve`, and with them sympy) is
+imported only by the commands that run it on a polynomial scene, so
+combinatorial scenes and `verify` never load it.
 """
 
 import argparse
@@ -22,11 +26,9 @@ from .indices import (bb_total, cs_combinatorial, cs_total,
                       intersection_number, milnor_along, milnor_curve,
                       milnor_decomposition, milnor_foliation,
                       var_total, vanishing_orders)
-from .oracle import oracle_intersection, oracle_milnor, oracle_mu_pair
 from .pencil import (bifurcation_formula_check, fiber_balanced_divisor,
                      fiber_gsv_check, semitame_check, unfolding_dimension)
 from .report import FORMULAS, Report, _encode
-from .resolve import derive_resolution
 from .scenes import derived_scene, dump_scene, load_scene
 from .verify import verify_battery
 
@@ -153,6 +155,9 @@ def _reduced_totals(report, s_b, a, marking, ledger, reduced, attachments):
 
 
 def _polynomial_invariants(scene, report, args, seed, max_ext):
+    from .oracle import oracle_milnor
+    from .resolve import derive_resolution
+
     res = derive_resolution(scene.germs, mode="curve", seed=seed,
                             max_ext_degree=max_ext)
     a = res.a
@@ -258,6 +263,9 @@ def cmd_pencil(args):
         if not scene.as_pencil:
             raise InputError("this polynomial scene has no second germ; "
                              "run the invariants command")
+        from .oracle import oracle_intersection, oracle_mu_pair
+        from .resolve import derive_resolution
+
         res = derive_resolution(scene.germs, mode="pencil", seed=seed,
                                 max_ext_degree=max_ext)
         model = res.pencil
@@ -312,6 +320,8 @@ def cmd_resolve(args):
     scene = load_scene(args.scene)
     if scene.kind != "polynomial":
         raise InputError("resolve needs a polynomial scene")
+    from .resolve import derive_resolution
+
     mode = "pencil" if scene.as_pencil else "curve"
     seed, max_ext = _settings(scene, args)
     res = derive_resolution(scene.germs, mode=mode, seed=seed,

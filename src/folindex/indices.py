@@ -91,9 +91,6 @@ class HypothesisLedger:
         self.consumed.append((operation, name, status))
         return status
 
-    def snapshot(self):
-        return {"flags": dict(self.flags), "consumed": list(self.consumed)}
-
 
 # ---------------------------------------------------------------------------
 # reduced singularity data

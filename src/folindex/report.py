@@ -10,9 +10,8 @@ function of (scene, seed): rendering twice gives identical bytes.
 
 import json
 import math
+import sys
 from fractions import Fraction
-
-import sympy
 
 from .scenes import encode_value
 
@@ -27,7 +26,9 @@ def _encode(value):
         return "infinite"
     if isinstance(value, (tuple, list)):
         return [_encode(v) for v in value]
-    if isinstance(value, sympy.Basic):
+    # a sympy value exists only once sympy is loaded; never load it here
+    sympy = sys.modules.get("sympy")
+    if sympy is not None and isinstance(value, sympy.Basic):
         if value.is_Integer:
             return int(value)
         if value.is_Rational:

@@ -31,13 +31,9 @@ pencil (combinatorial pencil model)
 import json
 from fractions import Fraction
 
-import sympy
-
-from .algfield import ALPHA
 from .blowup import BlowUpProgram, build_cholesky, build_intersection
 from .divisors import BranchAttachment, InvariantMarking, SeparatrixDivisor
 from .errors import SceneParseError
-from .germs import Germ
 from .indices import HypothesisLedger, ReducedSingularity
 from .pencil import Fiber, PencilModel
 
@@ -57,6 +53,9 @@ def decode_value(obj, where=""):
             raise SceneParseError(f"{where}: bad rational {obj!r}: {exc}")
         return int(value) if value.denominator == 1 else value
     if isinstance(obj, dict) and set(obj) == {"minpoly", "root"}:
+        import sympy
+
+        from .algfield import ALPHA
         try:
             expr = sympy.parse_expr(obj["minpoly"].replace("^", "**"))
         except (SyntaxError, TypeError, ValueError) as exc:
@@ -66,8 +65,13 @@ def decode_value(obj, where=""):
             raise SceneParseError(f"{where}: minpoly needs exactly one "
                                   "variable")
         expr = expr.subs(symbols.pop(), ALPHA)
+        index, degree = obj["root"], sympy.Poly(expr, ALPHA).degree()
+        if isinstance(index, bool) or not isinstance(index, int) \
+                or not 0 <= index < degree:
+            raise SceneParseError(f"{where}: root must be an integer in "
+                                  f"0..{degree - 1}, got {index!r}")
         try:
-            return sympy.CRootOf(expr, ALPHA, obj["root"])
+            return sympy.CRootOf(expr, ALPHA, index)
         except (ValueError, IndexError, TypeError) as exc:
             raise SceneParseError(f"{where}: bad root index: {exc}")
     raise SceneParseError(f"{where}: expected an integer, 'p/q' string, or "
@@ -82,6 +86,8 @@ def encode_value(value):
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else str(value)
+    import sympy
+
     if isinstance(value, sympy.CRootOf):
         expr, index = value.args
         gen = expr.free_symbols.pop()
@@ -249,6 +255,8 @@ class Scene:
         data, src = self.data, self.source
         if "f" not in data:
             raise SceneParseError(f"{src}: a polynomial scene needs 'f'")
+        from .germs import Germ
+
         try:
             self.germs = {"f": Germ(data["f"], name="f")}
             if "g" in data:
@@ -327,6 +335,8 @@ def derived_scene(resolution, name="", description=""):
 def polynomial_scene(f, g=None, seed=0, max_extension_degree=8, name="",
                      pencil=None):
     """Polynomial scene document for the given germ expressions."""
+    from .germs import Germ
+
     doc = {"kind": "polynomial", "name": name, "f": _expr_string(Germ(f))}
     if g is not None:
         doc["g"] = _expr_string(Germ(g))

@@ -57,6 +57,12 @@ class TestValues:
         with pytest.raises(SceneParseError):
             decode_value({"minpoly": "t*s - 2", "root": 0})
 
+    @pytest.mark.parametrize("root", [-1, "1", 2, True, 1.0])
+    def test_rejects_bad_root_index(self, root):
+        with pytest.raises(SceneParseError, match=r"root must be an integer "
+                                                  r"in 0\.\.1"):
+            decode_value({"minpoly": "t^2 - 2", "root": root})
+
 
 class TestSceneParsing:
     def test_combinatorial(self):
@@ -187,6 +193,17 @@ class TestCli:
         pencil = f"{SCENES}/node-cusp-pencil.json"
         assert main(["invariants", "--scene", pencil]) == 2
         assert "run the pencil command" in capsys.readouterr().err
+
+    def test_exit_code_negative_root_index(self, tmp_path, capsys):
+        doc = json.loads(open(f"{SCENES}/cusp-hamiltonian.json").read())
+        doc["reduced_points"][0]["eigenratio"] = {"minpoly": "t^2 - 2",
+                                                   "root": -1}
+        path = tmp_path / "root.json"
+        path.write_text(json.dumps(doc))
+        assert main(["invariants", "--scene", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "reduced_points[0].eigenratio: root must be" in captured.err
+        assert captured.out == ""
 
     def test_exit_code_unsupported(self, tmp_path, capsys):
         doc = {"kind": "polynomial", "f": "(y^2 - 2*x^2)^2 - x^5",
