@@ -2,14 +2,20 @@
 
 A field is carried around as a tuple of explicit algebraic generators
 (CRootOf expressions over a private symbol) together with the sympy
-domain QQ(gens).  Extending by a root of a polynomial irreducible over
-the current field works by eliminating the generators with iterated
-resultants, factoring the result over Q, and identifying the right
-factor and root index numerically; the identification is certified
-exactly inside the extended field, so a precision shortfall can only
-cause a retry, never a wrong tower.  The root comes back as an element
-of the extended domain, which Polys enter by `Poly.set_domain`.
+domain QQ(gens) = QQ(theta), theta its primitive element.  To adjoin a
+root of phi, irreducible over K, `extend` factors the norm of phi over Q
+and takes the roots of those factors, each with its exact isolating
+interval or rectangle, as candidates.  The new generator is the candidate
+nearest to phi's first numeric root; that is decided exactly, in
+rationals, refining only the intervals of candidates that could still be
+nearest.  The choice is then certified by arithmetic in the extended
+field K': phi, carried into K' through the coordinates of theta, must
+vanish at the new generator.  A precision shortfall can only cause a
+retry, never a wrong tower.  The root comes back as an element of K',
+which Polys enter by `Poly.set_domain`.
 """
+
+from fractions import Fraction
 
 import sympy
 from sympy import Poly, QQ
@@ -28,18 +34,11 @@ def field_degree(K):
     return 1 if K == QQ else K.ext.minpoly.degree()
 
 
-def _eliminate(expr, gens, var):
-    """A rational polynomial in var vanishing wherever expr does.
-
-    Each algebraic generator is replaced by a fresh symbol and removed
-    with a resultant against its rational minimal polynomial.
-    """
-    for g in gens:
-        z = sympy.Dummy("z")
-        expr = sympy.expand(expr.subs(g, z))
-        minpoly = g.poly.as_expr().subs(g.poly.gen, z)
-        expr = sympy.resultant(expr, minpoly, z)
-    return Poly(expr, var, domain=QQ)
+def _eliminate(phi, gens):
+    """A rational polynomial vanishing at every root of phi: the norm of
+    phi from K = QQ(gens) down to Q, a resultant against the minimal
+    polynomial of K's primitive element."""
+    return Poly(phi.norm() if gens else phi, domain=QQ)
 
 
 def _numeric_roots(phi, prec):
@@ -50,8 +49,80 @@ def _numeric_roots(phi, prec):
                   key=lambda r: (sympy.re(r), sympy.im(r)))
 
 
+def _box(root):
+    """The isolating interval or rectangle of a CRootOf as rationals
+    (ax, bx, ay, by); sympy's boxes are closed, and a root may lie on
+    the edge."""
+    iv = root._get_interval()
+    box = (iv.a, iv.b, 0, 0) if root.is_real else (iv.ax, iv.bx, iv.ay, iv.by)
+    return [Fraction(int(v.numerator), int(v.denominator)) for v in box]
+
+
+def _reach(box, px, py):
+    """Squared distances from (px, py) to the nearest and farthest point
+    of a box."""
+    ax, bx, ay, by = box
+    nx, ny = max(ax - px, px - bx, 0), max(ay - py, py - by, 0)
+    fx, fy = max(px - ax, bx - px), max(py - ay, by - py)
+    return nx * nx + ny * ny, fx * fx + fy * fy
+
+
+def _nearest(roots, beta0, prec):
+    """The root nearest to the complex number beta0, or None while two
+    roots are within 10**-prec of a tie.  Only the boxes that may still
+    hold the nearest root are refined."""
+    px, py = Fraction(beta0.real), Fraction(beta0.imag)
+    width = Fraction(1, 10 ** prec)
+    while True:
+        boxes = [_box(root) for root in roots]
+        reach = [_reach(box, px, py) for box in boxes]
+        best = min(far for _, far in reach)
+        close = [k for k, (near, _) in enumerate(reach) if near <= best]
+        if len(close) == 1:
+            return roots[close[0]]
+        if all(max(boxes[k][1] - boxes[k][0], boxes[k][3] - boxes[k][2])
+               < width for k in close):
+            return None
+        for k in close:
+            roots[k]._set_interval(roots[k]._get_interval().refine())
+
+
+def _horner(coeffs, x, K):
+    value = K.zero
+    for c in coeffs:
+        value = value * x + c
+    return value
+
+
+def _embedding(K, gens2, K2):
+    """K's primitive element and the new generator gens2[-1] as elements
+    of K2 = field_of(gens2), for K = field_of(gens2[:-1]).
+
+    sympy builds a primitive element one generator at a time, so K's is
+    the leading part of the combination that gives K2's.  Both
+    combinations are checked against the fields before they are used.
+    """
+    minpoly, coeffs, reps = sympy.primitive_element(gens2, ex=True,
+                                                    polys=True)
+    terms = [c * g for c, g in zip(coeffs, gens2)]
+    if QQ.algebraic_field((minpoly, sum(terms))) != K2 or \
+            (K != QQ and K.ext.root != sum(terms[:-1])):
+        raise CheckFailed(f"the primitive elements of {gens2} do not "
+                          "match their fields")
+    reps = [K2(rep) for rep in reps]
+    theta = sum((c * r for c, r in zip(coeffs, reps[:-1])), K2.zero)
+    return theta, reps[-1]
+
+
 def extend(gens, K, phi, max_degree):
     """Adjoin a root of phi (irreducible over K = QQ(gens)) to the tower.
+
+    The candidates are the CRootOf's of the rational factors of phi's
+    norm.  At each precision of the ladder, the new generator is the
+    candidate nearest to phi's first numeric root, decided exactly from
+    the candidates' isolating intervals.  It is accepted only when phi,
+    mapped into K' = QQ(gens') through the coordinates of K's primitive
+    element, vanishes at it by exact arithmetic in K'.
 
     Returns (gens', K', beta') with beta' the new root as an element of
     K'.  Raises ExtensionDegreeExceeded when the composite degree would
@@ -64,23 +135,21 @@ def extend(gens, K, phi, max_degree):
             f"adjoining a root of {phi.as_expr()} needs a degree-{total} "
             f"extension of Q; the budget is {max_degree}")
 
-    rational = _eliminate(phi.as_expr(), gens, phi.gen)
-    candidates = [f for f, _ in rational.factor_list()[1] if f.degree() > 0]
+    roots = [sympy.CRootOf(m.as_expr(ALPHA), ALPHA, k)
+             for m, _ in _eliminate(phi, gens).factor_list()[1]
+             for k in range(m.degree())]
 
     for prec in (30, 60, 120, 240):
         beta0 = complex(_numeric_roots(phi, prec)[0])
-        scored = []
-        for m in candidates:
-            m_alpha = m.as_expr().subs(phi.gen, ALPHA)
-            for k in range(m.degree()):
-                root = sympy.CRootOf(m_alpha, ALPHA, k)
-                scored.append((abs(complex(root.evalf(prec)) - beta0),
-                               root))
-        beta_expr = min(scored, key=lambda s: s[0])[1]
+        beta_expr = _nearest(roots, beta0, prec)
+        if beta_expr is None:
+            continue
         gens2 = tuple(gens) + (beta_expr,)
         K2 = field_of(gens2)
-        value = sympy.expand(phi.as_expr().subs(phi.gen, beta_expr))
-        if K2.from_sympy(value) == K2.zero:
-            return gens2, K2, K2.from_sympy(beta_expr)
+        theta, beta = _embedding(K, gens2, K2)
+        mapped = [_horner([c] if K == QQ else c.to_list(), theta, K2)
+                  for c in phi.rep.to_list()]
+        if not _horner(mapped, beta, K2):
+            return gens2, K2, beta
     raise CheckFailed(f"could not certify a root of {phi.as_expr()} "
                       f"numerically at any precision")

@@ -53,19 +53,31 @@ def decode_value(obj, where=""):
             raise SceneParseError(f"{where}: bad rational {obj!r}: {exc}")
         return int(value) if value.denominator == 1 else value
     if isinstance(obj, dict) and set(obj) == {"minpoly", "root"}:
+        from tokenize import TokenError
+
         import sympy
 
         from .algfield import ALPHA
+        if not isinstance(obj["minpoly"], str):
+            raise SceneParseError(f"{where}: minpoly must be a string")
         try:
             expr = sympy.parse_expr(obj["minpoly"].replace("^", "**"))
-        except (SyntaxError, TypeError, ValueError) as exc:
+        except (SyntaxError, TokenError, TypeError, ValueError) as exc:
             raise SceneParseError(f"{where}: bad minpoly: {exc}")
         symbols = expr.free_symbols
         if len(symbols) != 1:
             raise SceneParseError(f"{where}: minpoly needs exactly one "
                                   "variable")
         expr = expr.subs(symbols.pop(), ALPHA)
-        index, degree = obj["root"], sympy.Poly(expr, ALPHA).degree()
+        try:
+            poly = sympy.Poly(expr, ALPHA)
+        except sympy.PolynomialError as exc:
+            raise SceneParseError(f"{where}: minpoly is not a polynomial: "
+                                  f"{exc}")
+        if not (poly.domain.is_ZZ or poly.domain.is_QQ or poly.domain.is_RR):
+            raise SceneParseError(f"{where}: minpoly needs rational "
+                                  f"coefficients, got {poly.domain}")
+        index, degree = obj["root"], poly.degree()
         if isinstance(index, bool) or not isinstance(index, int) \
                 or not 0 <= index < degree:
             raise SceneParseError(f"{where}: root must be an integer in "

@@ -63,6 +63,24 @@ class TestValues:
                                                   r"in 0\.\.1"):
             decode_value({"minpoly": "t^2 - 2", "root": root})
 
+    @pytest.mark.parametrize("minpoly", ["1/t", "exp(t)", "t^(1/2)",
+                                         "t^2 - I", "t^2 - sqrt(2)",
+                                         "t^2 - pi", "t^2-2)", 5])
+    def test_rejects_malformed_minpoly(self, minpoly):
+        with pytest.raises(SceneParseError, match="minpoly"):
+            decode_value({"minpoly": minpoly, "root": 0})
+
+    @pytest.mark.parametrize("minpoly,root,encoded", [
+        ("t^2 - 2", 1, {"minpoly": "t^2 - 2", "root": 1}),
+        ("x^3 - 2", 0, {"minpoly": "t^3 - 2", "root": 0}),
+        ("t^2/2 + 1/3", 1, {"minpoly": "3*t^2 + 2", "root": 1}),
+        ("t^2 - 2.5", 0, {"minpoly": "2*t^2 - 5", "root": 0}),
+        ("t^2 - 1", 1, 1), ("t - 1/2", 0, "1/2")])
+    def test_valid_minpoly_round_trips(self, minpoly, root, encoded):
+        value = decode_value({"minpoly": minpoly, "root": root})
+        assert encode_value(value) == encoded
+        assert decode_value(encoded) == value
+
 
 class TestSceneParsing:
     def test_combinatorial(self):
@@ -203,6 +221,17 @@ class TestCli:
         assert main(["invariants", "--scene", str(path)]) == 2
         captured = capsys.readouterr()
         assert "reduced_points[0].eigenratio: root must be" in captured.err
+        assert captured.out == ""
+
+    def test_exit_code_malformed_minpoly(self, tmp_path, capsys):
+        doc = json.loads(open(f"{SCENES}/cusp-hamiltonian.json").read())
+        doc["reduced_points"][0]["eigenratio"] = {"minpoly": "t^2 - sqrt(2)",
+                                                   "root": 0}
+        path = tmp_path / "minpoly.json"
+        path.write_text(json.dumps(doc))
+        assert main(["invariants", "--scene", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "minpoly needs rational coefficients" in captured.err
         assert captured.out == ""
 
     def test_exit_code_unsupported(self, tmp_path, capsys):
