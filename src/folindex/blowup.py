@@ -201,15 +201,10 @@ def neg_inverse(a):
 
     The pairings never build it (see CholeskyMatrix.solve); it is the
     independent reference for verify's positive-inverse check.  Computed
-    through the Cholesky factor when one is attached, which keeps the
-    arithmetic integral; otherwise by exact rational elimination.
+    through the Cholesky factor, which keeps the arithmetic integral.
     """
-    if a.cholesky is not None:
-        finv = a.cholesky.inverse()
-        return exact.matmul(finv, exact.transpose(finv))
-    neg = exact.mat_neg(exact.inverse(a.rows))
-    return tuple(tuple(int(e) if e.denominator == 1 else e for e in row)
-                 for row in neg)
+    finv = a.cholesky.inverse()
+    return exact.matmul(finv, exact.transpose(finv))
 
 
 def valence(a, i):

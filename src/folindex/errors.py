@@ -89,7 +89,8 @@ class ChangeOfCoordinatesFailed(CheckFailed):
 
 
 class CandidateUncertified(CheckFailed):
-    """Sampling contradicts a symbolic bifurcation-candidate jump."""
+    """A pencil candidate's Milnor number falls below the certified generic
+    value, which semicontinuity forbids."""
 
 
 class PropertyViolation(CheckFailed):

@@ -1,15 +1,13 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact vector and matrix helpers over the integers.
 
 Matrices are tuples of tuples, vectors are tuples.  Everything is immutable
-and exact; no floating point.  Inverses, products and determinants cost
-O(n^3) in the number of exceptional components.  The lattice pairings do
-not use them (they solve with F over the center lists, see blowup); here
-they serve as independent checks and reference values.
+and exact; no floating point.  The unit lower-triangular inverse, products
+and determinants cost O(n^3) in the number of exceptional components.  The
+lattice pairings do not use them (they solve with F over the center lists,
+see blowup); here they serve as independent checks and reference values.
 """
 
-from fractions import Fraction
-
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch
 
 
 def ones(n):
@@ -100,25 +98,6 @@ def det(m):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def inverse(m):
-    """Exact inverse with Fraction entries; raises SingularMatrix."""
-    n = len(m)
-    a = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrix(f"no pivot in column {col + 1}")
-        a[col], a[pivot] = a[pivot], a[col]
-        p = a[col][col]
-        a[col] = [e / p for e in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [e - f * g for e, g in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
 
 
 def _same_len(u, v):

@@ -22,8 +22,7 @@ No inverse is built.  Each pairing is a backward substitution F^{-T} s
 followed by a forward substitution F^{-1}, both O(n) over the center lists
 of the program (CholeskyMatrix.solve_transpose and solve).  Dense inverses
 remain only where an independent route is the point: verify's
-positive-inverse check, the tests' reference values, and the rational
-fallback for an intersection matrix that carries no Cholesky factor.
+positive-inverse check and the tests' reference values.
 
 The local sums run over the finitely many reduced singular points that
 survive on the exceptional divisor; their values enter as exact rationals
@@ -158,18 +157,9 @@ def _invert(r):
 # core pairings
 
 def _neg_inv_apply(a, s):
-    """-A^{-1} s = F^{-1}(F^{-T} s); dense only for a matrix without F."""
+    """-A^{-1} s = F^{-1}(F^{-T} s)."""
     f = a.cholesky
-    if f is None:
-        return exact.matvec(a.neg_inverse(), s)
     return f.solve(f.solve_transpose(s))
-
-
-def _require_cholesky(a, operation):
-    if a.cholesky is None:
-        raise InputError(f"{operation} needs the Cholesky factor; build the "
-                         "intersection matrix from a blow-up program")
-    return a.cholesky
 
 
 def _check_len(a, s, what):
@@ -193,7 +183,7 @@ def curve_multiplicity_sequence(s_c, f):
 
 def vanishing_orders(s_c, a):
     """(M, m): pull-back orders M = -A^{-1}S_C and residues m = F(M - u)."""
-    f = _require_cholesky(a, "vanishing_orders")
+    f = a.cholesky
     _check_len(a, s_c, "S_C")
     big_m = _neg_inv_apply(a, s_c)
     small_m = exact.matvec(f.rows, exact.vec_sub(big_m, exact.ones(a.n)))
@@ -211,7 +201,7 @@ def discrepancies(s_b, marking, f, ledger):
 
 
 def _mu_form(s, a):
-    f = _require_cholesky(a, "milnor formula")
+    f = a.cholesky
     u = exact.ones(a.n)
     iu = exact.vec_add(u, f.solve(u))
     value = quadratic_pairing(s, s, a) - exact.dot(s, iu) + 1
@@ -283,7 +273,7 @@ def milnor_along(s_b, s_d, a):
     gsv(C) + mu_0(C); summing a_C * milnor_along(C) - a_C over the terms
     of a balanced divisor and adding 1 recovers mu_0 of the foliation.
     """
-    f = _require_cholesky(a, "milnor_along")
+    f = a.cholesky
     _check_len(a, s_b, "S_B")
     if hasattr(s_d, "terms"):
         from .divisors import total_vector
@@ -402,7 +392,7 @@ def milnor_decomposition(s_b, marking, a, ledger):
     components); the excess is <l, l> - <l, u> - n for the discrepancy
     vector l.  Their sum must equal milnor_foliation on the same data.
     """
-    f = _require_cholesky(a, "milnor_decomposition")
+    f = a.cholesky
     marking.validate_against(a)
     ell = discrepancies(s_b, marking, f, ledger)
     n = a.n

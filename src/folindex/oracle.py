@@ -19,10 +19,11 @@ scales them) or over a number field.  Milnor numbers are intersection
 numbers of the partials, and the pencil Milnor number mu(f,g) is the
 intersection number of the coefficients of g df - f dg.
 
-Pencil bifurcation values are located exactly: the y-resultant of the
-partials of f + t*g is a polynomial in (x, t) whose generic x-valuation is
-the generic Milnor number, and every parameter where the Milnor number
-jumps is a root of the lowest x-coefficient.  Roots are certified one
+Pencil bifurcation values are located exactly by the same certificate
+over the field Q(t), applied to the partials of f + t*g (see
+bifurcation_candidates): it gives the generic Milnor number as the least
+x-order of their y-resultant, and a polynomial in t whose roots hold every
+parameter where the Milnor number jumps.  Its factors are certified one
 conjugacy class at a time by recomputing the Milnor number over the
 algebraic extension Q(root); spurious roots (no jump) are reported, not
 silently dropped.  Infinite values are returned as math.inf.
@@ -165,10 +166,10 @@ class Candidate:
 class PencilBifurcationData:
     mu_generic: int
     candidates: tuple
-    mu_f: object
-    mu_g: object
-    samples: tuple     # ((t, mu), (t, mu)) certifying the generic value
-    shear: tuple
+    mu_f: int
+    mu_g: int
+    i0: int
+    shear: tuple       # the first shear that certified the generic member
 
     def bifurcation_values(self):
         return tuple(c for c in self.candidates if c.status == "bifurcation")
@@ -190,72 +191,104 @@ def _certify_candidate(h, m, rng, max_ext_degree):
     return alpha, _milnor(h.set_domain(field).eval(T, alpha), rng)
 
 
-def bifurcation_candidates(f, g, seed=0, max_ext_degree=8, max_shears=6,
-                           prune=True):
+def _in_t(terms):
+    """A Poly in t over QQ from {degree: coefficient}."""
+    return Poly.from_dict(terms, T, domain=QQ)
+
+
+def _y_free(p0):
+    """p0 in (y, t) with its power of y divided out."""
+    if p0.is_zero:
+        return p0
+    k = min(i for i, _ in p0.monoms())
+    return Poly.from_dict({(i - k, j): c for (i, j), c in p0.terms()},
+                          p0.gens, domain=p0.domain)
+
+
+def _generic_certificate(p, q, u):
+    """(v, c_u * e_u) for the partials p, q of f + t g under the shear u,
+    or None when u does not certify the generic member over Q(t)."""
+    pu, qu = _shear(p, u), _shear(q, u)
+    if not _certified(pu, qu):
+        return None
+    p0, q0 = pu.eval(X, 0), qu.eval(X, 0)
+    kept = p0 if p0.degree() == pu.degree() else q0
+    d = kept.degree()
+    lead = _in_t({j: c for (i, j), c in kept.terms() if i == d})
+    big_p, big_q = _y_free(p0), _y_free(q0)
+    # e is not zero: lead keeps the degree, and the monomial gcd leaves P, Q
+    # coprime over Q(t); when one restriction is 0 the other is a monomial
+    e = lead if big_p.is_zero or big_q.is_zero else \
+        lead * big_p.resultant(big_q)
+    res = pu.resultant(qu)
+    if res.is_zero:
+        raise UnsupportedGerm("the generic member has a non-isolated "
+                              "singularity")
+    v = min(i for i, _ in res.monoms())
+    return v, e * _in_t({j: c for (i, j), c in res.terms() if i == v})
+
+
+def bifurcation_candidates(f, g, seed=0, max_ext_degree=8):
     """Locate and certify the parameters where mu_0(f + t g) jumps.
 
-    Returns PencilBifurcationData; raises UnsupportedGerm when the pencil
-    has a non-reduced member (infinite Milnor number somewhere, common
-    branch included), OracleMismatch when no shear certifies a generic
-    value, CandidateUncertified on an impossible sub-generic candidate.
-    With prune=False the shear-dependent spurious roots of the low
-    coefficient are kept (and certified, hence flagged) instead of being
-    removed by a second independent shear.
+    A shear u certifies the generic member over Q(t) when the partials
+    p, q of h = f + t g, as Polys in (y, x, t), meet the three conditions
+    above.  Let lead(t) be the y-leading coefficient at x = 0 of a partial
+    that keeps its y-degree there, P, Q the restrictions p(0, y), q(0, y)
+    without their powers of y, and e_u = lead * Res_y(P, Q).  Every member
+    at a t0 off the roots of e_u meets the three conditions, and there
+    R = Res_y(p, q) specialises up to a unit at x = 0, so mu_0(f + t0 g) =
+    ord_x R(x, t0).  Hence the least x-order v of R is the generic Milnor
+    number, and every jump is a root of c_u * e_u, with c_u(t) the
+    coefficient of x^v.  The candidates are the rational factors of the
+    gcd of c_u * e_u over the first two certified shears (identity
+    first); a factor without a jump is kept with status "spurious".
+
+    Returns PencilBifurcationData; raises InputError when a generator is a
+    unit, UnsupportedGerm when the generators share a branch, when one is
+    non-reduced or when a member is non-reduced, ChangeOfCoordinatesFailed
+    when fewer than two of the SHEARS shears certify the generic member,
+    and CandidateUncertified on an impossible sub-generic candidate.
     """
     rng = random.Random(seed)
     pf, pg = _zz(_poly(f)), _zz(_poly(g))
     if _germ_order(pf) == 0 or _germ_order(pg) == 0:
         raise InputError("pencil generators must vanish at the origin")
-    if _intersection(pf, pg, rng) is INFINITE:
-        raise UnsupportedGerm("generators share a branch; every member of the "
-                              "pencil is non-reduced")
+    # a shared branch makes every member non-reduced, so it is named first
+    i0 = _intersection(pf, pg, rng)
+    if i0 is INFINITE:
+        raise UnsupportedGerm("the pencil generators share a branch")
+    mu_f, mu_g = _milnor(pf, rng), _milnor(pg, rng)
+    for role, mu in (("f", mu_f), ("g", mu_g)):
+        if mu is INFINITE:
+            raise UnsupportedGerm(f"pencil generator {role!r} is not reduced")
 
     h = _poly(f, T) + _poly(g, T) * Poly(T, Y, X, T)
-    p0, q0 = _zz(h.diff(X)), _zz(h.diff(Y))
-
-    def low_coefficient(u):
-        res = _shear(p0, u).resultant(_shear(q0, u))
-        if res.is_zero:
-            raise UnsupportedGerm("the generic member has a non-isolated "
-                                  "singularity")
-        v = min(i for i, _ in res.monoms())
-        return v, Poly.from_dict({(j,): c for (i, j), c in res.terms()
-                                  if i == v}, T, domain=QQ)
-
-    for _ in range(max_shears):
-        u = _unimodular(rng)
-        v_gen, c_low = low_coefficient(u)
-
-        samples = []
-        while len(samples) < 2:
-            tau = sympy.Rational(rng.randint(-99, 99), rng.randint(1, 9))
-            if tau == 0 or c_low.eval(tau) == 0:
-                continue
-            samples.append((tau, _milnor(_zz(h.eval(T, tau)), rng)))
-        if all(mu == v_gen for _, mu in samples):
-            break
-    else:
-        raise OracleMismatch("no shear reproduced the generic Milnor number "
-                             "on random members")
-
-    # every true bifurcation value is a root of the low coefficient for any
-    # shear with the certified generic valuation, so intersecting two
-    # independent shears prunes shear-dependent spurious roots
-    if prune:
-        for _ in range(max_shears):
-            v2, c2 = low_coefficient(_unimodular(rng))
-            if v2 == v_gen:
-                c_low = c_low.gcd(c2)
+    p, q = _zz(h.diff(X)), _zz(h.diff(Y))
+    certified = []
+    u = IDENTITY
+    for _ in range(SHEARS):
+        cert = _generic_certificate(p, q, u)
+        if cert is not None:
+            certified.append((u, *cert))
+            if len(certified) == 2:
                 break
+        u = _unimodular(rng)
+    else:
+        raise ChangeOfCoordinatesFailed(
+            f"fewer than two of {SHEARS} shears certify the generic member "
+            "of the pencil")
+    (shear, mu_gen, locus), (_, v2, c2) = certified
+    if v2 != mu_gen:
+        raise OracleMismatch(f"two certified shears give the generic Milnor "
+                             f"numbers {mu_gen} and {v2}")
+    locus = locus.gcd(c2)
 
-    mu_gen = v_gen
     candidates = []
-    if c_low.degree() > 0:
-        _, factors = c_low.factor_list()
+    if locus.degree() > 0:
+        _, factors = locus.factor_list()
         for m, _mult in sorted(factors, key=lambda fm: (fm[0].degree(),
                                                         str(fm[0].as_expr()))):
-            if m.degree() == 0:
-                continue
             value, mu = _certify_candidate(h, m, rng, max_ext_degree)
             if mu is INFINITE:
                 raise UnsupportedGerm(f"the member at t = {value} is "
@@ -267,11 +300,6 @@ def bifurcation_candidates(f, g, seed=0, max_ext_degree=8, max_shears=6,
             candidates.append(Candidate(
                 minpoly=m, value=value, conjugates=m.degree(), mu=mu,
                 status="bifurcation" if mu > mu_gen else "spurious"))
-
-    mu_f, mu_g = oracle_milnor(f, seed=seed + 1), oracle_milnor(g, seed=seed + 2)
-    if mu_f is INFINITE or mu_g is INFINITE:
-        raise UnsupportedGerm("a generator is non-reduced; out of scope")
     return PencilBifurcationData(mu_generic=mu_gen,
-                                 candidates=tuple(candidates),
-                                 mu_f=mu_f, mu_g=mu_g,
-                                 samples=tuple(samples), shear=u)
+                                 candidates=tuple(candidates), mu_f=mu_f,
+                                 mu_g=mu_g, i0=i0, shear=shear)

@@ -630,12 +630,6 @@ def _separate_dicriticals(centers, iota, s_vectors):
 
 def _derive_pencil(items, seed, max_ext_degree):
     (f_name, f), (g_name, g) = items
-    for name, germ in items:
-        if oracle_milnor(germ, seed=seed) == INFINITE:
-            raise UnsupportedGerm(f"pencil generator {name!r} is not "
-                                  "reduced")
-    if oracle_intersection(f, g, seed=seed) == INFINITE:
-        raise UnsupportedGerm("the pencil generators share a branch")
     data = bifurcation_candidates(f, g, seed=seed,
                                   max_ext_degree=max_ext_degree)
     special = [c for c in data.candidates if c.status == "bifurcation"]
@@ -694,8 +688,8 @@ def _derive_pencil(items, seed, max_ext_degree):
 
     a = build_intersection(build_cholesky(BlowUpProgram.from_lists(centers)))
     infos = _finish_infos(root)
-    oracle_i0 = {(gen1[0], gen2[0]): oracle_intersection(
-        labels[gen1[0]], labels[gen2[0]], seed=seed)}
+    # two distinct members span the ideal (f, g), so they meet in i0(f, g)
+    oracle_i0 = {(gen1[0], gen2[0]): data.i0}
     pairwise = _check_tree(root, tree_items, infos, s_vectors, a, oracle_mu,
                            oracle_i0)
 
@@ -707,7 +701,6 @@ def _derive_pencil(items, seed, max_ext_degree):
     branches, attachments = _branch_objects(infos, program.n)
     marking = InvariantMarking(tuple(iota)).validate_against(a)
 
-    i0 = oracle_i0[gen1[0], gen2[0]]
     fibers = [Fiber(name, s_vectors[name], mu)
               for name, (_, mu) in members.items()]
     # a pencil foliation is a fibration after reduction: both hypotheses hold
@@ -715,7 +708,8 @@ def _derive_pencil(items, seed, max_ext_degree):
                               second_class="asserted")
     model = PencilModel(a=a, marking=marking, bifurcation_fibers=fibers,
                         generic_s=generic_s, mu_generic=data.mu_generic,
-                        i0=i0, generators=(gen1[0], gen2[0]), ledger=ledger)
+                        i0=data.i0, generators=(gen1[0], gen2[0]),
+                        ledger=ledger)
     s_b = total_vector(fiber_balanced_divisor(model), a.n)
     mu_model = milnor_foliation(s_b, a, ledger)
     if mu_model != mu_pair:

@@ -1,9 +1,8 @@
-from fractions import Fraction
 
 import pytest
 
 from folindex import exact
-from folindex.errors import DimensionMismatch, SingularMatrix
+from folindex.errors import DimensionMismatch
 
 
 def test_vector_ops():
@@ -30,18 +29,6 @@ def test_det_bareiss_is_exact():
     assert exact.det(((1, 2), (2, 4))) == 0
     m = ((3, 1, 4), (1, 5, 9), (2, 6, 5))
     assert exact.det(m) == -90
-
-
-def test_inverse_exact_fractions():
-    m = ((2, 1), (1, 1))
-    inv = exact.inverse(m)
-    assert inv == ((1, -1), (-1, 2))
-    m2 = ((1, 2), (3, 4))
-    inv2 = exact.inverse(m2)
-    assert exact.matmul(m2, inv2) == exact.identity(2)
-    assert inv2[0][0] == Fraction(-2)
-    with pytest.raises(SingularMatrix):
-        exact.inverse(((1, 2), (2, 4)))
 
 
 def test_unit_lower_inverse_integer():

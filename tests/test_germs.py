@@ -284,8 +284,10 @@ class TestBifurcationCandidates:
         data = bifurcation_candidates(f, g, seed=0)
         assert data.mu_generic == 1
         assert data.mu_f == 1 and data.mu_g == 1
-        assert len(data.samples) == 2
-        assert all(mu == 1 for _, mu in data.samples)
+        assert data.i0 == 5
+        # exact spot checks off the candidate locus t = -1
+        for t0 in (sympy.Rational(2), sympy.Rational(-1, 3)):
+            assert oracle_milnor(f.combine(g, t0)) == data.mu_generic
         a, b, c, d = data.shear
         assert abs(a * d - b * c) == 1
         (cand,) = data.candidates
@@ -296,16 +298,63 @@ class TestBifurcationCandidates:
         assert cand.status == "bifurcation"
         assert data.bifurcation_values() == (cand,)
 
-    def test_unpruned_run_keeps_spurious_roots(self):
-        f, g = Germ("x*y + y^2 + x^3"), Germ("x*y")
-        data = bifurcation_candidates(f, g, seed=0, prune=False)
-        by_status = {c.status: c for c in data.candidates}
-        spurious = by_status["spurious"]
-        assert spurious.value == -13
-        assert spurious.mu == 1
-        real = by_status["bifurcation"]
-        assert real.value == -1 and real.mu == 2
-        assert data.bifurcation_values() == (real,)
+    def test_spurious_root_is_kept_and_labelled(self):
+        # the cubic terms cancel at t = -1, so a generic shear's y-leading
+        # coefficient vanishes there; the member 3y - 3x^2 + 3y^2 is smooth
+        f, g = Germ("-2*x^3 + 3*y"), Germ("-2*x^3 + 3*x^2 - 3*y^2")
+        for seed in range(4):
+            data = bifurcation_candidates(f, g, seed=seed)
+            assert data.mu_generic == 0
+            (cand,) = data.candidates
+            assert cand.minpoly.as_expr() == T + 1
+            assert cand.value == -1
+            assert cand.mu == data.mu_generic
+            assert cand.status == "spurious"
+            assert data.bifurcation_values() == ()
+
+    @staticmethod
+    def _signature(f, g, seed):
+        data = bifurcation_candidates(Germ(f), Germ(g), seed=seed)
+        return (data.mu_generic, data.mu_f, data.mu_g, data.i0,
+                [(c.minpoly, c.mu) for c in data.bifurcation_values()])
+
+    def test_node_cusp_family_is_seed_independent(self):
+        for a in (1, 2, 3, -1, -2, -3):
+            for b in (1, 2, 3, -1, -2, -3):
+                f, g = f"x*y + {a}*y^2 + {b}*x^3", "x*y"
+                for seed in range(4):
+                    assert self._signature(f, g, seed) == (
+                        1, 1, 1, 5, [(Poly(T + 1, T, domain=QQ), 2)])
+
+    @pytest.mark.parametrize("f, g", [
+        ("x*y + y^2 + x^3", "x*y"),
+        ("y^2 + 2*x^2 + x^3", "-2*x*y"),
+        ("x^3 + y^5 + y^3 - 3*x^2*y", "y^3 - 3*x^2*y"),
+        ("y^2 - x^3", "x*y"),
+        ("x", "y"),
+        ("-2*x^3 + 3*y", "-2*x^3 + 3*x^2 - 3*y^2"),
+        ("x^2 + 2*y^2 + x^3", "x*y + y^3"),   # special member at t^2 = 8
+    ])
+    def test_seed_independent(self, f, g):
+        first = self._signature(f, g, 0)
+        for seed in (1, 2, 3):
+            assert self._signature(f, g, seed) == first
+
+    def test_pencil_oracle_calls(self, monkeypatch):
+        # mu(f), mu(g), i0(f, g), mu(f, g) and the candidate t = -1
+        from folindex import oracle
+        from folindex.resolve import derive_resolution
+        calls = []
+        inner = oracle._intersection
+
+        def counted(p, q, rng):
+            calls.append(1)
+            return inner(p, q, rng)
+        monkeypatch.setattr(oracle, "_intersection", counted)
+        res = derive_resolution({"f": "x*y + y^2 + x^3", "g": "x*y"},
+                                mode="pencil")
+        assert res.mu_pair == 12
+        assert len(calls) <= 5
 
     def test_quadratic_bifurcation_value(self):
         # members (y - t*x)^2 + x^3 at t^2 = 2: a cusp on a Morse pencil

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from folindex.blowup import (BlowUpProgram, IntersectionMatrix, build_cholesky,
+from folindex.blowup import (BlowUpProgram, CholeskyMatrix, build_cholesky,
                              build_intersection)
 from folindex.divisors import InvariantMarking
 from folindex.errors import (DimensionMismatch, HypothesisMissing, InputError,
@@ -306,7 +306,10 @@ def test_wrong_length_raises(tower, name, vector):
         WRONG_LENGTH[name](f, a, vector)
 
 
-def test_non_integer_result_guard():
-    fake = IntersectionMatrix(((-2,),), None)
+def test_non_integer_result_guard(radial, monkeypatch):
+    # a real factor never leaves the integers; a patched solve does
+    _, a = radial
+    monkeypatch.setattr(CholeskyMatrix, "solve",
+                        lambda self, v: tuple(Fraction(e, 2) for e in v))
     with pytest.raises(NonIntegerResult):
-        cs_combinatorial((1,), fake)
+        cs_combinatorial((1,), a)

@@ -223,6 +223,23 @@ class TestCli:
         assert "reduced_points[0].eigenratio: root must be" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("f, g, reason", [
+        ("y^2", "x", "pencil generator 'f' is not reduced"),
+        ("y^2 + 2*x^2", "-2*x*y", "is non-reduced; out of scope"),
+        ("x*y", "x^2 + x*y^3", "the pencil generators share a branch"),
+        ("x^2 + 2*y^2 + x^3", "x*y + y^3",
+         "a special member sits at an algebraic parameter"),
+    ])
+    def test_exit_code_unsupported_pencil(self, tmp_path, capsys, f, g,
+                                          reason):
+        path = tmp_path / "pencil.json"
+        path.write_text(json.dumps({"kind": "polynomial", "name": "edge",
+                                    "f": f, "g": g, "pencil": True}))
+        assert main(["pencil", "--scene", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert reason in captured.err
+        assert captured.out == ""
+
     def test_exit_code_malformed_minpoly(self, tmp_path, capsys):
         doc = json.loads(open(f"{SCENES}/cusp-hamiltonian.json").read())
         doc["reduced_points"][0]["eigenratio"] = {"minpoly": "t^2 - sqrt(2)",
