@@ -85,7 +85,7 @@ class OracleMismatch(CheckFailed):
 
 
 class ChangeOfCoordinatesFailed(CheckFailed):
-    """No usable random coordinate change found within the retry budget."""
+    """More shears fail the oracle's certificate than its bound allows."""
 
 
 class CandidateUncertified(CheckFailed):

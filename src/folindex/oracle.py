@@ -11,9 +11,9 @@ change of coordinates
 
 Then every root y(x) of f is a Puiseux series in x, the origin is the only
 point of the line x = 0 where f and g meet, and ord_x Res_y(f, g) equals
-i_0(f, g) exactly.  The oracle tries the identity first, then random
-shears from the caller's seeded generator, with f and g in both roles,
-and answers from the first shear that meets the three conditions.
+i_0(f, g) exactly.  The oracle tries f(x + k y, y) for k = 0, 1, -1, 2,
+..., up to a bound from the degrees, with f and g in both roles, and
+answers from the first shear that meets the three conditions.
 Polynomials are sympy Polys in (y, x) over ZZ (clearing denominators only
 scales them) or over a number field.  Milnor numbers are intersection
 numbers of the partials, and the pencil Milnor number mu(f,g) is the
@@ -29,8 +29,8 @@ algebraic extension Q(root); spurious roots (no jump) are reported, not
 silently dropped.  Infinite values are returned as math.inf.
 """
 
+import itertools
 import math
-import random
 from dataclasses import dataclass
 
 import sympy
@@ -45,25 +45,13 @@ T = sympy.Symbol("t")
 
 INFINITE = math.inf
 
-IDENTITY = (1, 0, 0, 1)
-SHEARS = 14   # the identity plus 13 random shears
 
-
-def _unimodular(rng):
-    """Random 2x2 integer matrix with determinant +-1, entries in [-9, 9]."""
-    while True:
-        a, b, c, d = (rng.randint(-9, 9) for _ in range(4))
-        if abs(a * d - b * c) == 1:
-            return a, b, c, d
-
-
-def _shear(p, u):
-    """p(a x + b y, c x + d y) for p in (y, x, ...)."""
-    if u == IDENTITY:
+def _shear(p, k):
+    """p(x + k y, y) for p in (y, x, ...)."""
+    if k == 0:
         return p
-    a, b, c, d = u
-    return substitute(p, Poly(a * X + b * Y, *p.gens, domain=p.domain),
-                      Poly(c * X + d * Y, *p.gens, domain=p.domain))
+    return substitute(p, Poly(X + k * Y, *p.gens, domain=p.domain),
+                      Poly(Y, *p.gens, domain=p.domain))
 
 
 def _germ_order(p):
@@ -79,7 +67,40 @@ def _certified(p, q):
     return lead and p0.gcd(q0).is_monomial
 
 
-def _intersection(p, q, rng):
+def _certified_shears(p, q):
+    """Yield (k, p_u, q_u) for each certified shear u_k, k = 0, 1, -1, ...
+
+    Under u_k the axis x = 0 is the line x = k y.  For coprime p, q of
+    total degrees d_p, d_q a direction fails only if both top-degree forms
+    vanish at (k, 1), for at most min(d_p, d_q) values of k, or if a
+    common point other than the origin lies on x = k y, for at most
+    d_p d_q values (Bezout); so B = min(d_p, d_q) + d_p d_q.  Over Q(t),
+    for partials of f + t g coprime over Q(t), with degrees counting t,
+    a factor a t + b of the gcd (p, q are linear in t) also fails
+    condition 3.  Then b != 0, as mu(f) < inf keeps f from being singular
+    along x = k y; the member at t = -b/a holds that line twice; {x = k y,
+    t = -b/a} is one of at most d_p d_q lines on p = q = 0 (Bezout in
+    (x, y, t)); so B gains d_p d_q.  The first shear comes within B + 1
+    directions and the second within B + 2; failure B + 1 raises
+    ChangeOfCoordinatesFailed.
+    """
+    dp, dq = p.total_degree(), q.total_degree()
+    bound = min(dp, dq) + dp * dq * (2 if T in p.gens else 1)
+    failed = 0
+    for n in itertools.count():
+        k = (n + 1) // 2 if n % 2 else -(n // 2)
+        pu, qu = _shear(p, k), _shear(q, k)
+        if _certified(pu, qu):
+            yield k, pu, qu
+        else:
+            failed += 1
+            if failed > bound:
+                raise ChangeOfCoordinatesFailed(
+                    f"{failed} shear directions fail the certificate, more "
+                    f"than the degree bound {bound} allows")
+
+
+def _intersection(p, q):
     """i_0 of two Polys in (y, x): ord_x of the first certified resultant."""
     if p.is_zero and q.is_zero:
         raise InputError("intersection number of the zero ideal")
@@ -92,15 +113,8 @@ def _intersection(p, q, rng):
         return INFINITE   # shared branch through the origin
     if common.total_degree() > 0:
         p, q = p.exquo(common), q.exquo(common)
-    u = IDENTITY
-    for _ in range(SHEARS):
-        pu, qu = _shear(p, u), _shear(q, u)
-        if _certified(pu, qu):
-            return min(m[0] for m in pu.resultant(qu).monoms())
-        u = _unimodular(rng)
-    raise ChangeOfCoordinatesFailed(
-        f"none of {SHEARS} shears separates the origin from the other "
-        "common points on the axis")
+    _, pu, qu = next(_certified_shears(p, q))
+    return min(m[0] for m in pu.resultant(qu).monoms())
 
 
 def _poly(f, *gens):
@@ -114,31 +128,31 @@ def _zz(p):
     return p.clear_denoms(convert=True)[1]
 
 
-def oracle_intersection(f, g, seed=0):
+def oracle_intersection(f, g):
     """i_0(f, g) by a certified resultant; math.inf on a common branch."""
-    return _intersection(_zz(_poly(f)), _zz(_poly(g)), random.Random(seed))
+    return _intersection(_zz(_poly(f)), _zz(_poly(g)))
 
 
-def _milnor(p, rng):
-    return _intersection(p.diff(X), p.diff(Y), rng)
+def _milnor(p):
+    return _intersection(p.diff(X), p.diff(Y))
 
 
-def oracle_milnor(f, seed=0):
+def oracle_milnor(f):
     """mu_0(f) = i_0(f_x, f_y); math.inf for a non-isolated singularity."""
     p = _zz(_poly(f))
     if _germ_order(p) == 0:
         return 0
-    return _milnor(p, random.Random(seed))
+    return _milnor(p)
 
 
-def oracle_mu_pair(f, g, seed=0):
+def oracle_mu_pair(f, g):
     """mu(f, g) = i_0 of the coefficients of the 1-form g df - f dg."""
     pf, pg = _zz(_poly(f)), _zz(_poly(g))
     p = pg * pf.diff(X) - pf * pg.diff(X)
     q = pg * pf.diff(Y) - pf * pg.diff(Y)
     if p.is_zero and q.is_zero:
         raise InputError("the two germs span no pencil (proportional)")
-    return _intersection(p, q, random.Random(seed))
+    return _intersection(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +183,15 @@ class PencilBifurcationData:
     mu_f: int
     mu_g: int
     i0: int
-    shear: tuple       # the first shear that certified the generic member
+    shear: tuple       # (1, k, 0, 1): the first certified shear
 
     def bifurcation_values(self):
         return tuple(c for c in self.candidates if c.status == "bifurcation")
 
 
-def _certify_candidate(h, m, rng, max_ext_degree):
-    """(value, mu) of the members h(t) = f + t g at the roots of m."""
+def _certify_candidate(h, m, max_ext_degree, mu_f):
+    """(value, mu) of the members h(t) = f + t g at the roots of m; the
+    member at t = 0 is f, whose Milnor number mu_f is already known."""
     deg = m.degree()
     if deg > max_ext_degree:
         raise ExtensionDegreeExceeded(
@@ -185,10 +200,10 @@ def _certify_candidate(h, m, rng, max_ext_degree):
     if deg == 1:
         a1, a0 = m.all_coeffs()
         tau = sympy.Rational(-a0, a1)
-        return tau, _milnor(_zz(h.eval(T, tau)), rng)
+        return tau, mu_f if tau == 0 else _milnor(_zz(h.eval(T, tau)))
     alpha = sympy.CRootOf(m.as_expr(), T, 0)
     field = QQ.algebraic_field(alpha)
-    return alpha, _milnor(h.set_domain(field).eval(T, alpha), rng)
+    return alpha, _milnor(h.set_domain(field).eval(T, alpha))
 
 
 def _in_t(terms):
@@ -205,12 +220,9 @@ def _y_free(p0):
                           p0.gens, domain=p0.domain)
 
 
-def _generic_certificate(p, q, u):
-    """(v, c_u * e_u) for the partials p, q of f + t g under the shear u,
-    or None when u does not certify the generic member over Q(t)."""
-    pu, qu = _shear(p, u), _shear(q, u)
-    if not _certified(pu, qu):
-        return None
+def _generic_certificate(pu, qu):
+    """(v, c_u * e_u) for the partials pu, qu of f + t g under a shear u
+    that certifies the generic member over Q(t)."""
     p0, q0 = pu.eval(X, 0), qu.eval(X, 0)
     kept = p0 if p0.degree() == pu.degree() else q0
     d = kept.degree()
@@ -228,7 +240,7 @@ def _generic_certificate(p, q, u):
     return v, e * _in_t({j: c for (i, j), c in res.terms() if i == v})
 
 
-def bifurcation_candidates(f, g, seed=0, max_ext_degree=8):
+def bifurcation_candidates(f, g, max_ext_degree=8):
     """Locate and certify the parameters where mu_0(f + t g) jumps.
 
     A shear u certifies the generic member over Q(t) when the partials
@@ -241,44 +253,31 @@ def bifurcation_candidates(f, g, seed=0, max_ext_degree=8):
     ord_x R(x, t0).  Hence the least x-order v of R is the generic Milnor
     number, and every jump is a root of c_u * e_u, with c_u(t) the
     coefficient of x^v.  The candidates are the rational factors of the
-    gcd of c_u * e_u over the first two certified shears (identity
+    gcd of c_u * e_u over the first two certified shears (k = 0
     first); a factor without a jump is kept with status "spurious".
 
     Returns PencilBifurcationData; raises InputError when a generator is a
     unit, UnsupportedGerm when the generators share a branch, when one is
     non-reduced or when a member is non-reduced, ChangeOfCoordinatesFailed
-    when fewer than two of the SHEARS shears certify the generic member,
-    and CandidateUncertified on an impossible sub-generic candidate.
+    when more shears fail than _certified_shears's bound allows, and
+    CandidateUncertified on an impossible sub-generic candidate.
     """
-    rng = random.Random(seed)
     pf, pg = _zz(_poly(f)), _zz(_poly(g))
     if _germ_order(pf) == 0 or _germ_order(pg) == 0:
         raise InputError("pencil generators must vanish at the origin")
     # a shared branch makes every member non-reduced, so it is named first
-    i0 = _intersection(pf, pg, rng)
+    i0 = _intersection(pf, pg)
     if i0 is INFINITE:
         raise UnsupportedGerm("the pencil generators share a branch")
-    mu_f, mu_g = _milnor(pf, rng), _milnor(pg, rng)
+    mu_f, mu_g = _milnor(pf), _milnor(pg)
     for role, mu in (("f", mu_f), ("g", mu_g)):
         if mu is INFINITE:
             raise UnsupportedGerm(f"pencil generator {role!r} is not reduced")
 
     h = _poly(f, T) + _poly(g, T) * Poly(T, Y, X, T)
-    p, q = _zz(h.diff(X)), _zz(h.diff(Y))
-    certified = []
-    u = IDENTITY
-    for _ in range(SHEARS):
-        cert = _generic_certificate(p, q, u)
-        if cert is not None:
-            certified.append((u, *cert))
-            if len(certified) == 2:
-                break
-        u = _unimodular(rng)
-    else:
-        raise ChangeOfCoordinatesFailed(
-            f"fewer than two of {SHEARS} shears certify the generic member "
-            "of the pencil")
-    (shear, mu_gen, locus), (_, v2, c2) = certified
+    certificates = ((k, *_generic_certificate(pu, qu)) for k, pu, qu
+                    in _certified_shears(_zz(h.diff(X)), _zz(h.diff(Y))))
+    (k, mu_gen, locus), (_, v2, c2) = next(certificates), next(certificates)
     if v2 != mu_gen:
         raise OracleMismatch(f"two certified shears give the generic Milnor "
                              f"numbers {mu_gen} and {v2}")
@@ -289,7 +288,7 @@ def bifurcation_candidates(f, g, seed=0, max_ext_degree=8):
         _, factors = locus.factor_list()
         for m, _mult in sorted(factors, key=lambda fm: (fm[0].degree(),
                                                         str(fm[0].as_expr()))):
-            value, mu = _certify_candidate(h, m, rng, max_ext_degree)
+            value, mu = _certify_candidate(h, m, max_ext_degree, mu_f)
             if mu is INFINITE:
                 raise UnsupportedGerm(f"the member at t = {value} is "
                                       "non-reduced; out of scope")
@@ -302,4 +301,4 @@ def bifurcation_candidates(f, g, seed=0, max_ext_degree=8):
                 status="bifurcation" if mu > mu_gen else "spurious"))
     return PencilBifurcationData(mu_generic=mu_gen,
                                  candidates=tuple(candidates), mu_f=mu_f,
-                                 mu_g=mu_g, i0=i0, shear=shear)
+                                 mu_g=mu_g, i0=i0, shear=(1, k, 0, 1))

@@ -130,9 +130,8 @@ def _blow(node, max_ext_degree):
     for name, (q, _) in directions.items():
         for phi, mult in q.factor_list()[1]:
             phi = phi.monic()
-            key = sympy.srepr(phi.as_expr())
-            merged.setdefault(key, (phi, {}))[1][name] = mult
-    for phi, mults in merged.values():
+            merged.setdefault(phi, {})[name] = mult
+    for phi, mults in merged.items():
         step = "zero" if phi.as_expr() == Y else "free"
         points.append(((phi.degree(), str(phi.as_expr())), step, phi, mults))
     points.sort(key=lambda entry: entry[0])
@@ -513,11 +512,12 @@ def derive_resolution(germs, mode="curve", seed=0, max_ext_degree=8):
     Returns a DerivedResolution holding the blow-up program, attachment
     vectors, branch data and, for a pencil, the dicritical marking and the
     assembled PencilModel.  Every number is cross-checked against the
-    resultant oracle.
+    resultant oracle.  `seed` only draws a pencil's generic detector
+    members, whose labels t=... reach reports as generator names.
     """
     if mode == "curve":
         resolution, _, _ = _derive_curves(_normalize_germs(germs, mode),
-                                          seed, max_ext_degree)
+                                          max_ext_degree)
         return resolution
     if mode == "pencil":
         return _derive_pencil(_normalize_germs(germs, mode), seed,
@@ -525,16 +525,16 @@ def derive_resolution(germs, mode="curve", seed=0, max_ext_degree=8):
     raise InputError(f"unknown mode {mode!r}; use 'curve' or 'pencil'")
 
 
-def _derive_curves(items, seed, max_ext_degree):
+def _derive_curves(items, max_ext_degree):
     oracle_mu, oracle_i0 = {}, {}
     for name, germ in items:
-        mu = oracle_milnor(germ, seed=seed)
+        mu = oracle_milnor(germ)
         if mu == INFINITE:
             raise UnsupportedGerm(f"germ {name!r} is not reduced")
         oracle_mu[name] = mu
     for i, (ni, gi) in enumerate(items):
         for nj, gj in items[i + 1:]:
-            v = oracle_intersection(gi, gj, seed=seed)
+            v = oracle_intersection(gi, gj)
             if v == INFINITE:
                 raise UnsupportedGerm(f"germs {ni!r} and {nj!r} share a "
                                       "branch")
@@ -569,7 +569,7 @@ class BranchData:
     mu: int
 
 
-def branch_analysis(germ, seed=0, max_ext_degree=8):
+def branch_analysis(germ, max_ext_degree=8):
     """Branches of a single reduced germ: characteristic exponents,
     multiplicity sequences, tangents, and pairwise intersection totals
     keyed by endpoint-orbit id (a pair (i, i) is the total over the
@@ -579,8 +579,7 @@ def branch_analysis(germ, seed=0, max_ext_degree=8):
     if germ.order() < 1:
         raise InputError("the germ does not vanish at the origin")
     name = germ.name or "f"
-    resolution, _, infos = _derive_curves([(name, germ)], seed,
-                                          max_ext_degree)
+    resolution, _, infos = _derive_curves([(name, germ)], max_ext_degree)
     pairwise = {}
     for i, fa in enumerate(infos):
         for fb in infos[i:]:
@@ -630,8 +629,7 @@ def _separate_dicriticals(centers, iota, s_vectors):
 
 def _derive_pencil(items, seed, max_ext_degree):
     (f_name, f), (g_name, g) = items
-    data = bifurcation_candidates(f, g, seed=seed,
-                                  max_ext_degree=max_ext_degree)
+    data = bifurcation_candidates(f, g, max_ext_degree=max_ext_degree)
     special = [c for c in data.candidates if c.status == "bifurcation"]
     for c in special:
         if c.minpoly.degree() > 1:
@@ -639,7 +637,7 @@ def _derive_pencil(items, seed, max_ext_degree):
                 "a special member sits at an algebraic parameter with "
                 f"minimal polynomial {c.minpoly.as_expr()}; the reduction "
                 "route needs rational special values")
-    mu_pair = oracle_mu_pair(f, g, seed=seed)
+    mu_pair = oracle_mu_pair(f, g)
 
     rng = random.Random(f"reduction-{seed}")
     taken = {sympy.Rational(c.value) for c in special} | {sympy.S.Zero}

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import QQ, ZZ, Poly
 
+from folindex import oracle
 from folindex.errors import (ExtensionDegreeExceeded, GermSyntaxError,
                              InputError, NonPolynomial, UnsupportedGerm)
 from folindex.germs import Germ, X, Y, parse_germ, substitute
@@ -200,23 +201,29 @@ class TestIntersectionOracle:
         f, g = Germ("x*y + y^2 + x^3"), Germ("x*y")
         assert oracle_intersection(f, g) == 5
         assert oracle_intersection(g, f) == 5
-        assert oracle_intersection(f, g, seed=5) == 5
 
     def test_smooth_transverse(self):
         assert oracle_intersection(Germ("x"), Germ("y")) == 1
         # the y-leading coefficient of the first germ vanishes at x = 0
         assert oracle_intersection(Germ("x*y^2 + y"), Germ("y + x")) == 1
         # the curves also meet at (0, 1): unsheared, ord_x Res_y is 2
-        for seed in range(4):
-            assert oracle_intersection(Germ("y^2 - y + x"),
-                                       Germ("y^2 - y + 2*x"), seed=seed) == 1
+        assert oracle_intersection(Germ("y^2 - y + x"),
+                                   Germ("y^2 - y + 2*x")) == 1
 
     def test_common_point_at_infinity(self):
         # both y-leading coefficients vanish at x = 0 and the curves meet
         # at infinity in the y direction, so the unsheared valuation is 6
-        for seed in range(4):
-            assert oracle_intersection(Germ("x*y^2 - y"),
-                                       Germ("x*y^2 - y + x^2"), seed=seed) == 2
+        assert oracle_intersection(Germ("x*y^2 - y"),
+                                   Germ("x*y^2 - y + x^2")) == 2
+
+    def test_fixed_shear_order(self):
+        # the conics also meet at (0, 1), (1, 1) and (1, -1), on the lines
+        # x = k y for k = 0, 1, -1, so the fourth direction k = 2 certifies
+        f, g = "x^2 + x*y + y^2 - 2*x - y", "2*x^2 + x*y + y^2 - 3*x - y"
+        assert oracle_intersection(Germ(f), Germ(g)) == 1
+        p, q = (oracle._zz(oracle._poly(h)) for h in (f, g))
+        k, _, _ = next(oracle._certified_shears(p, q))
+        assert k == 2
 
     def test_cusp_against_axis(self):
         assert oracle_intersection(Germ("y^2 - x^3"), Germ("y")) == 3
@@ -235,10 +242,42 @@ class TestIntersectionOracle:
                          + oracle_intersection(Germ("x"), axis))
 
 
+@st.composite
+def germs(draw):
+    """A germ of degree at most 3 vanishing at the origin."""
+    monomial = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda m: 1 <= sum(m) <= 3)
+    terms = draw(st.dictionaries(monomial, st.integers(-3, 3).filter(bool),
+                                 min_size=1, max_size=4))
+    return Germ(sum(c * X**i * Y**j for (i, j), c in terms.items()))
+
+
+@st.composite
+def unimodular(draw):
+    """(a, b, c, d) with a d - b c = +-1."""
+    s, r = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    u = (1 + s * r, s, r, 1)
+    return u[2:] + u[:2] if draw(st.booleans()) else u
+
+
+class TestCoordinateInvariance:
+    @settings(max_examples=30, deadline=None)
+    @given(f=germs(), g=germs(), u=unimodular())
+    def test_i0_and_mu_survive_a_change_of_coordinates(self, f, g, u):
+        a, b, c, d = u
+
+        def moved(h):
+            return Germ(sympy.expand(h.expr.subs(
+                {X: a * X + b * Y, Y: c * X + d * Y}, simultaneous=True)))
+
+        assert oracle_intersection(moved(f), moved(g)) == \
+            oracle_intersection(f, g)
+        assert oracle_milnor(moved(f)) == oracle_milnor(f)
+
+
 class TestMilnorOracle:
     def test_fixture_values(self):
         assert oracle_milnor(Germ("y^2 - x^3")) == 2
-        assert oracle_milnor(Germ("y^2 - x^3"), seed=7) == 2
         assert oracle_milnor(Germ("x*y")) == 1
         assert oracle_milnor(Germ("x*y + y^2 + x^3")) == 1
         assert oracle_milnor(Germ("x")) == 0
@@ -281,7 +320,7 @@ class TestMuPairOracle:
 class TestBifurcationCandidates:
     def test_fixture_pencil(self):
         f, g = Germ("x*y + y^2 + x^3"), Germ("x*y")
-        data = bifurcation_candidates(f, g, seed=0)
+        data = bifurcation_candidates(f, g)
         assert data.mu_generic == 1
         assert data.mu_f == 1 and data.mu_g == 1
         assert data.i0 == 5
@@ -302,54 +341,54 @@ class TestBifurcationCandidates:
         # the cubic terms cancel at t = -1, so a generic shear's y-leading
         # coefficient vanishes there; the member 3y - 3x^2 + 3y^2 is smooth
         f, g = Germ("-2*x^3 + 3*y"), Germ("-2*x^3 + 3*x^2 - 3*y^2")
-        for seed in range(4):
-            data = bifurcation_candidates(f, g, seed=seed)
-            assert data.mu_generic == 0
-            (cand,) = data.candidates
-            assert cand.minpoly.as_expr() == T + 1
-            assert cand.value == -1
-            assert cand.mu == data.mu_generic
-            assert cand.status == "spurious"
-            assert data.bifurcation_values() == ()
+        data = bifurcation_candidates(f, g)
+        assert data.mu_generic == 0
+        (cand,) = data.candidates
+        assert cand.minpoly.as_expr() == T + 1
+        assert cand.value == -1
+        assert cand.mu == data.mu_generic
+        assert cand.status == "spurious"
+        assert data.bifurcation_values() == ()
 
     @staticmethod
-    def _signature(f, g, seed):
-        data = bifurcation_candidates(Germ(f), Germ(g), seed=seed)
+    def _signature(f, g):
+        data = bifurcation_candidates(Germ(f), Germ(g))
         return (data.mu_generic, data.mu_f, data.mu_g, data.i0,
-                [(c.minpoly, c.mu) for c in data.bifurcation_values()])
+                [(c.minpoly.as_expr(), c.mu)
+                 for c in data.bifurcation_values()])
 
     def test_node_cusp_family_is_seed_independent(self):
         for a in (1, 2, 3, -1, -2, -3):
             for b in (1, 2, 3, -1, -2, -3):
                 f, g = f"x*y + {a}*y^2 + {b}*x^3", "x*y"
-                for seed in range(4):
-                    assert self._signature(f, g, seed) == (
-                        1, 1, 1, 5, [(Poly(T + 1, T, domain=QQ), 2)])
+                assert self._signature(f, g) == (1, 1, 1, 5, [(T + 1, 2)])
 
-    @pytest.mark.parametrize("f, g", [
-        ("x*y + y^2 + x^3", "x*y"),
-        ("y^2 + 2*x^2 + x^3", "-2*x*y"),
-        ("x^3 + y^5 + y^3 - 3*x^2*y", "y^3 - 3*x^2*y"),
-        ("y^2 - x^3", "x*y"),
-        ("x", "y"),
-        ("-2*x^3 + 3*y", "-2*x^3 + 3*x^2 - 3*y^2"),
-        ("x^2 + 2*y^2 + x^3", "x*y + y^3"),   # special member at t^2 = 8
-    ])
+    # pinned (mu_generic, mu_f, mu_g, i0, special members) of fixtures
+    SIGNATURES = {
+        ("x*y + y^2 + x^3", "x*y"): (1, 1, 1, 5, [(T + 1, 2)]),
+        ("y^2 + 2*x^2 + x^3", "-2*x*y"): (1, 1, 1, 4, [(T**2 - 2, 2)]),
+        ("x^3 + y^5 + y^3 - 3*x^2*y", "y^3 - 3*x^2*y"):
+            (4, 4, 4, 9, [(2*T + 1, 6), (2*T + 3, 6), (T + 1, 8)]),
+        ("y^2 - x^3", "x*y"): (1, 2, 1, 5, [(T, 2)]),
+        ("x", "y"): (0, 0, 0, 1, []),
+        ("-2*x^3 + 3*y", "-2*x^3 + 3*x^2 - 3*y^2"): (0, 0, 1, 2, []),
+        # special member at t^2 = 8
+        ("x^2 + 2*y^2 + x^3", "x*y + y^3"): (1, 1, 1, 4, [(T**2 - 8, 3)]),
+    }
+
+    @pytest.mark.parametrize("f, g", list(SIGNATURES))
     def test_seed_independent(self, f, g):
-        first = self._signature(f, g, 0)
-        for seed in (1, 2, 3):
-            assert self._signature(f, g, seed) == first
+        assert self._signature(f, g) == self.SIGNATURES[f, g]
 
     def test_pencil_oracle_calls(self, monkeypatch):
         # mu(f), mu(g), i0(f, g), mu(f, g) and the candidate t = -1
-        from folindex import oracle
         from folindex.resolve import derive_resolution
         calls = []
         inner = oracle._intersection
 
-        def counted(p, q, rng):
+        def counted(p, q):
             calls.append(1)
-            return inner(p, q, rng)
+            return inner(p, q)
         monkeypatch.setattr(oracle, "_intersection", counted)
         res = derive_resolution({"f": "x*y + y^2 + x^3", "g": "x*y"},
                                 mode="pencil")
@@ -359,7 +398,7 @@ class TestBifurcationCandidates:
     def test_quadratic_bifurcation_value(self):
         # members (y - t*x)^2 + x^3 at t^2 = 2: a cusp on a Morse pencil
         f, g = Germ("y^2 + 2*x^2 + x^3"), Germ("-2*x*y")
-        data = bifurcation_candidates(f, g, seed=0)
+        data = bifurcation_candidates(f, g)
         assert data.mu_generic == 1
         (cand,) = data.candidates
         assert cand.minpoly.as_expr() == T**2 - 2
@@ -371,23 +410,23 @@ class TestBifurcationCandidates:
     def test_extension_budget(self):
         f, g = Germ("y^2 + 2*x^2 + x^3"), Germ("-2*x*y")
         with pytest.raises(ExtensionDegreeExceeded, match="degree 2"):
-            bifurcation_candidates(f, g, seed=0, max_ext_degree=1)
+            bifurcation_candidates(f, g, max_ext_degree=1)
 
     def test_non_reduced_member_rejected(self):
         f, g = Germ("y^2 + 2*x^2"), Germ("-2*x*y")
         with pytest.raises(UnsupportedGerm, match="non-reduced"):
-            bifurcation_candidates(f, g, seed=0)
+            bifurcation_candidates(f, g)
 
     def test_shared_branch_rejected(self):
         with pytest.raises(UnsupportedGerm, match="share a branch"):
-            bifurcation_candidates(Germ("x*y"), Germ("x^2"), seed=0)
+            bifurcation_candidates(Germ("x*y"), Germ("x^2"))
 
     def test_generators_must_vanish(self):
         with pytest.raises(InputError, match="vanish at the origin"):
-            bifurcation_candidates(Germ("1 + x"), Germ("y"), seed=0)
+            bifurcation_candidates(Germ("1 + x"), Germ("y"))
 
     def test_pencil_without_jumps(self):
-        data = bifurcation_candidates(Germ("x"), Germ("y"), seed=0)
+        data = bifurcation_candidates(Germ("x"), Germ("y"))
         assert data.mu_generic == 0
         assert data.candidates == ()
         assert data.bifurcation_values() == ()

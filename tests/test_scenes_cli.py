@@ -204,6 +204,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "independent (resultant)" in out
 
+    @pytest.mark.parametrize("name", ["cusp-curve", "node-cusp-germs",
+                                      "triple-tangent-pencil"])
+    def test_polynomial_reports_ignore_the_seed(self, name, capsys):
+        path = f"{SCENES}/{name}.json"
+        with open(path) as handle:
+            command = ("pencil" if json.load(handle).get("pencil")
+                       else "invariants")
+        reports = []
+        for seed in ("0", "1", "2"):
+            assert main([command, "--scene", path, "--oracle", "--format",
+                         "json", "--seed", seed]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report.pop("seed") == int(seed)
+            reports.append(report)
+        assert reports[0] == reports[1] == reports[2]
+
     def test_exit_code_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"kind\": \"nope\"}")
