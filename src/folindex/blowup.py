@@ -16,11 +16,16 @@ intersection matrix of the exceptional components factors through it:
 so A is symmetric negative definite with det = 1, and -A^{-1} = F^{-1} F^{-T}
 has positive integer entries.  Both factorizations are exact integer
 computations here.  Each row of F has at most two off-diagonal entries, so
-F^{-1} v and F^{-T} v are single substitutions over the center lists, O(n)
-per vector; the dense inverses are kept only as an independent reference.
+F v, F^{-1} v and F^{-T} v are single passes over the center lists, O(n)
+per vector, and the components that meet are the pairs the program's own
+replay leaves adjacent (`BlowUpProgram.meets`).  The dense rows of F and A
+are laid out on first read only; the references that compare against them
+(intersection_by_steps, neg_inverse, proximity_check, verify's checks) are
+their only readers.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import exact
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidCenter
@@ -28,13 +33,18 @@ from .errors import DimensionMismatch, IndexOutOfRange, InvalidCenter
 
 @dataclass(frozen=True)
 class BlowUpProgram:
-    """Ordered centers; centers[k-1] holds the 1-based components through center k."""
+    """Ordered centers; centers[k-1] holds the 1-based components through center k.
+
+    `meets` holds the pairs (i, j), i < j, of components that meet after the
+    last blow-up: exactly the non-zero off-diagonal entries of A.
+    """
 
     centers: tuple
+    meets: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "centers", tuple(frozenset(c) for c in self.centers))
-        _validate(self.centers)
+        object.__setattr__(self, "meets", _validate(self.centers))
 
     @classmethod
     def from_lists(cls, lists):
@@ -80,6 +90,7 @@ def _validate(centers):
             adj.discard((i, j))
         for i in center:
             adj.add((i, k))
+    return frozenset(adj)
 
 
 def intersection_by_steps(program):
@@ -106,23 +117,36 @@ def intersection_by_steps(program):
 class CholeskyMatrix:
     """Unit lower-triangular proximity matrix F of a blow-up program."""
 
-    rows: tuple
-    program: BlowUpProgram = field(compare=False)
+    program: BlowUpProgram
+    n: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def n(self):
-        return len(self.rows)
+    def __post_init__(self):
+        object.__setattr__(self, "n", self.program.n)
+
+    @cached_property
+    def rows(self):
+        """Dense F, built on first read: row k carries -1 at the k-th center's
+        components."""
+        n, centers = self.n, self.program.centers
+        return tuple(
+            tuple(1 if i == k else (-1 if i + 1 in centers[k] else 0)
+                  for i in range(n))
+            for k in range(n)
+        )
 
     def prefix(self, k):
-        """Leading k x k block; equals the matrix of the truncated program."""
-        if not 1 <= k <= self.n:
-            raise IndexOutOfRange(f"prefix length {k} not in 1..{self.n}")
-        return CholeskyMatrix(tuple(row[:k] for row in self.rows[:k]),
-                              self.program.prefix(k))
+        """Proximity matrix of the first k blow-ups (its leading k x k block)."""
+        return CholeskyMatrix(self.program.prefix(k))
 
     def inverse(self):
         """F^{-1}; integer entries, all nonnegative."""
         return exact.unit_lower_inverse(self.rows)
+
+    def apply(self, v):
+        """F v: x_k = v_k - sum of v_i over center k."""
+        v = self._checked_copy(v)
+        return tuple(v[k] - sum(v[i - 1] for i in center)
+                     for k, center in enumerate(self.program.centers))
 
     def solve(self, v):
         """F^{-1} v by forward substitution: x_k = v_k + sum of x_i over center k."""
@@ -154,12 +178,29 @@ class CholeskyMatrix:
 class IntersectionMatrix:
     """Symmetric negative-definite matrix A = -F^T F of a blow-up program."""
 
-    rows: tuple
-    cholesky: CholeskyMatrix = field(compare=False)
+    cholesky: CholeskyMatrix
+    n: int = field(init=False, repr=False, compare=False)
+    meets: frozenset = field(init=False, repr=False, compare=False)
 
-    @property
-    def n(self):
-        return len(self.rows)
+    def __post_init__(self):
+        object.__setattr__(self, "n", self.cholesky.n)
+        object.__setattr__(self, "meets", self.cholesky.program.meets)
+
+    @cached_property
+    def rows(self):
+        """Dense A = -F^T F, built on first read as a sum of rank-one terms.
+
+        Row k of F is e_k minus the unit vectors of its center, so each term
+        touches at most three rows and columns of A.
+        """
+        n = self.n
+        a = [[0] * n for _ in range(n)]
+        for k, center in enumerate(self.cholesky.program.centers):
+            row = [(k, 1)] + [(i - 1, -1) for i in center]
+            for p, x in row:
+                for q, y in row:
+                    a[p][q] -= x * y
+        return tuple(tuple(r) for r in a)
 
     def prefix(self, k):
         """Intersection matrix of the truncated program (not a submatrix slice)."""
@@ -170,30 +211,13 @@ class IntersectionMatrix:
 
 
 def build_cholesky(program):
-    """Proximity matrix F: row k carries -1 at the k-th center's components."""
-    n = program.n
-    rows = tuple(
-        tuple(1 if i == k else (-1 if i + 1 in program.centers[k] else 0)
-              for i in range(n))
-        for k in range(n)
-    )
-    return CholeskyMatrix(rows, program)
+    """Proximity matrix F of a program; its dense rows wait for a reader."""
+    return CholeskyMatrix(program)
 
 
 def build_intersection(f):
-    """A = -F^T F as a sum of rank-one terms, one per row of F.
-
-    Row k of F is e_k minus the unit vectors of its center, so each term
-    touches at most three rows and columns of A.
-    """
-    n = f.n
-    a = [[0] * n for _ in range(n)]
-    for k, center in enumerate(f.program.centers):
-        row = [(k, 1)] + [(i - 1, -1) for i in center]
-        for p, x in row:
-            for q, y in row:
-                a[p][q] -= x * y
-    return IntersectionMatrix(tuple(tuple(r) for r in a), f)
+    """A = -F^T F over the factor f; its dense rows wait for a reader."""
+    return IntersectionMatrix(f)
 
 
 def neg_inverse(a):
@@ -208,11 +232,10 @@ def neg_inverse(a):
 
 
 def valence(a, i):
-    """Number of components meeting E_i: sum of the off-diagonal row entries."""
-    rows = a.rows if isinstance(a, IntersectionMatrix) else a
-    if not 1 <= i <= len(rows):
-        raise IndexOutOfRange(f"component {i} not in 1..{len(rows)}")
-    return sum(e for j, e in enumerate(rows[i - 1]) if j != i - 1)
+    """Number of components meeting E_i (the off-diagonal sum of row i of A)."""
+    if not 1 <= i <= a.n:
+        raise IndexOutOfRange(f"component {i} not in 1..{a.n}")
+    return sum(i in pair for pair in a.meets)
 
 
 def proximity_check(f, a):
@@ -226,19 +249,19 @@ def proximity_check(f, a):
 def dual_graph_dot(a, marking=None, labels=None):
     """DOT source for the dual graph; dicritical components drawn as boxes.
 
-    `marking` may be an InvariantMarking or a plain 0/1 tuple.
+    `marking` may be an InvariantMarking or a plain 0/1 tuple.  A node's
+    label carries E_i . E_i = -1 - (number of later centers on E_i).
     """
-    rows = a.rows if isinstance(a, IntersectionMatrix) else a
     iota = getattr(marking, "iota", marking)
-    n = len(rows)
+    self_int = [-1] * a.n
+    for center in a.cholesky.program.centers:
+        for i in center:
+            self_int[i - 1] -= 1
     lines = ["graph dual {"]
-    for i in range(1, n + 1):
+    for i in range(1, a.n + 1):
         name = labels[i - 1] if labels else f"E{i}"
         shape = "box" if iota is not None and iota[i - 1] == 0 else "ellipse"
-        lines.append(f'  e{i} [label="{name} ({rows[i-1][i-1]})", shape={shape}];')
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j]:
-                lines.append(f"  e{i+1} -- e{j+1};")
+        lines.append(f'  e{i} [label="{name} ({self_int[i - 1]})", shape={shape}];')
+    lines.extend(f"  e{i} -- e{j};" for i, j in sorted(a.meets))
     lines.append("}")
     return "\n".join(lines)

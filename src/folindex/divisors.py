@@ -49,14 +49,14 @@ class InvariantMarking:
         return tuple(i + 1 for i, e in enumerate(self.iota) if e == 1)
 
     def validate_against(self, a):
-        rows = a.rows
-        if len(rows) != self.n:
-            raise DimensionMismatch(f"marking length {self.n} vs matrix size {len(rows)}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.iota[i] == 0 and self.iota[j] == 0 and rows[i][j] != 0:
-                    raise InputError(f"dicritical components {i+1} and {j+1} meet; "
-                                     "a reduced foliation does not allow that")
+        if a.n != self.n:
+            raise DimensionMismatch(f"marking length {self.n} vs matrix size {a.n}")
+        iota = self.iota
+        bad = [(i, j) for i, j in a.meets if not iota[i - 1] and not iota[j - 1]]
+        if bad:
+            i, j = min(bad)
+            raise InputError(f"dicritical components {i} and {j} meet; "
+                             "a reduced foliation does not allow that")
         return self
 
 

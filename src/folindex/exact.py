@@ -3,8 +3,10 @@
 Matrices are tuples of tuples, vectors are tuples.  Everything is immutable
 and exact; no floating point.  The unit lower-triangular inverse, products
 and determinants cost O(n^3) in the number of exceptional components.  The
-lattice pairings do not use them (they solve with F over the center lists,
-see blowup); here they serve as independent checks and reference values.
+lattice pairings use none of the matrix helpers: they work over the center
+lists (see blowup), and the dense F and A are built on first read.  Here
+the matrix helpers serve the independent checks and reference values, the
+only readers of those dense rows.
 """
 
 from .errors import DimensionMismatch

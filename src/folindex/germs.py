@@ -8,8 +8,8 @@ other than x and y.  Division is constant division only and exponents are
 literal nonnegative integers — anything else is not a polynomial germ.
 
 Germ wraps a sympy Poly in (x, y) and answers the local questions the
-front-end needs: multiplicity at the origin, partial derivatives, and
-whether the germ is reduced at the origin (no repeated factor through 0).
+front-end needs: the multiplicity at the origin and the members of the
+pencil spanned with another germ.
 `substitute` is the one linear-substitution kernel: the oracle's shears
 and the resolution tower's translations both call it.
 """
@@ -228,25 +228,16 @@ class Germ:
 
     def __init__(self, poly, name=None):
         if isinstance(poly, str):
-            self.coeffs = parse_germ(poly)
             self.poly = Poly.from_dict(
                 {m: QQ(v.numerator, v.denominator)
-                 for m, v in self.coeffs.items()}, X, Y, domain=QQ)
+                 for m, v in parse_germ(poly).items()}, X, Y, domain=QQ)
         elif isinstance(poly, sympy.Poly):
             self.poly = sympy.Poly(poly, X, Y)
-            self.coeffs = {m: Fraction(c.p, c.q) if c.is_Rational else c
-                           for m, c in zip(self.poly.monoms(), self.poly.coeffs())}
         else:
             self.poly = sympy.Poly(sympy.sympify(poly), X, Y, domain="QQ")
-            self.coeffs = {m: Fraction(c.p, c.q)
-                           for m, c in zip(self.poly.monoms(), self.poly.coeffs())}
         if self.poly.is_zero:
             raise InputError("the zero polynomial is not a germ")
         self.name = name
-
-    @classmethod
-    def parse(cls, text, name=None):
-        return cls(text, name=name)
 
     @property
     def expr(self):
@@ -262,43 +253,6 @@ class Germ:
     def order(self):
         """Multiplicity at the origin: least total degree of a monomial."""
         return min(a + b for a, b in self.poly.monoms())
-
-    def vanishes(self):
-        return self.order() > 0
-
-    def diff(self, var):
-        if var not in ("x", "y", X, Y):
-            raise InputError(f"no such variable: {var!r}")
-        d = self.poly.diff(X if var in ("x", X) else Y)
-        if d.is_zero:
-            return None
-        return Germ(d)
-
-    def partials(self):
-        """(f_x, f_y) as Germ or None when identically zero."""
-        return self.diff("x"), self.diff("y")
-
-    def leading_form(self):
-        """The tangent-cone form: sum of the lowest-degree monomials."""
-        m = self.order()
-        expr = sympy.Add(*(c * X**a * Y**b
-                           for (a, b), c in zip(self.poly.monoms(),
-                                                self.poly.coeffs())
-                           if a + b == m))
-        return sympy.Poly(expr, X, Y)
-
-    def is_reduced_at_origin(self):
-        """No repeated irreducible factor through the origin."""
-        if not self.vanishes():
-            return True   # a unit germ is vacuously reduced
-        _, factors = self.poly.factor_list()
-        for p, mult in factors:
-            if mult > 1 and not p.eval((0, 0)):
-                return False
-        return True
-
-    def evaluate(self, px, py):
-        return self.poly.eval((px, py))
 
     def combine(self, other, t):
         """The member f + t*other of the pencil spanned with another germ."""

@@ -18,11 +18,14 @@ vector of a curve, the operations compute:
   BB_0                            sum of local BB + <-A^{-1}S_B, S_B>
                                                   - 2<S_B, iota> - <A iota, iota>
 
-No inverse is built.  Each pairing is a backward substitution F^{-T} s
-followed by a forward substitution F^{-1}, both O(n) over the center lists
-of the program (CholeskyMatrix.solve_transpose and solve).  Dense inverses
-remain only where an independent route is the point: verify's
-positive-inverse check and the tests' reference values.
+No inverse and no dense matrix is built.  Each pairing is a backward
+substitution F^{-T} s followed by a forward substitution F^{-1}, both O(n)
+over the center lists of the program (CholeskyMatrix.solve_transpose and
+solve); products with F (CholeskyMatrix.apply) and the corner set
+(BlowUpProgram.meets) read the same lists, and <A iota, iota> is computed
+as -|F iota|^2.  The dense F, A and -A^{-1} are built on first read, and
+only independent references read them: verify's checks and the tests'
+reference values.
 
 The local sums run over the finitely many reduced singular points that
 survive on the exceptional divisor; their values enter as exact rationals
@@ -186,7 +189,7 @@ def vanishing_orders(s_c, a):
     f = a.cholesky
     _check_len(a, s_c, "S_C")
     big_m = _neg_inv_apply(a, s_c)
-    small_m = exact.matvec(f.rows, exact.vec_sub(big_m, exact.ones(a.n)))
+    small_m = f.apply(exact.vec_sub(big_m, exact.ones(a.n)))
     return big_m, small_m
 
 
@@ -196,7 +199,7 @@ def discrepancies(s_b, marking, f, ledger):
     if len(s_b) != f.n or marking.n != f.n:
         raise DimensionMismatch("S_B, marking and program sizes disagree")
     lhs = f.solve_transpose(s_b)
-    rhs = exact.matvec(f.rows, marking.iota)
+    rhs = f.apply(marking.iota)
     return exact.vec_sub(lhs, rhs)
 
 
@@ -346,8 +349,7 @@ def bb_total(s_b, a, reduced, marking):
     marking.validate_against(a)
     _check_len(a, s_b, "S_B")
     iota = marking.iota
-    expected_corners = {(i, j) for i in range(1, a.n + 1) for j in range(i + 1, a.n + 1)
-                        if a.rows[i - 1][j - 1] != 0 and iota[i - 1] and iota[j - 1]}
+    expected_corners = {(i, j) for i, j in a.meets if iota[i - 1] and iota[j - 1]}
     seen_corners = {tuple(sorted(r.corner)) for r in reduced if r.corner is not None}
     if seen_corners != expected_corners:
         missing = expected_corners - seen_corners
@@ -367,8 +369,8 @@ def bb_total(s_b, a, reduced, marking):
     for r in reduced:
         local = local + r.bb_value()
     quad = quadratic_pairing(s_b, s_b, a)
-    return (local + quad - 2 * exact.dot(s_b, iota)
-            - exact.dot(exact.matvec(a.rows, iota), iota))
+    f_iota = a.cholesky.apply(iota)
+    return local + quad - 2 * exact.dot(s_b, iota) + exact.dot(f_iota, f_iota)
 
 
 # ---------------------------------------------------------------------------

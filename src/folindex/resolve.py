@@ -614,15 +614,12 @@ def _separate_dicriticals(centers, iota, s_vectors):
     vector changes; the new component is invariant."""
     while True:
         program = BlowUpProgram.from_lists(centers)
-        a = build_intersection(build_cholesky(program))
-        rows = a.rows
-        pair = next(((i, j) for i in range(program.n)
-                     for j in range(i + 1, program.n)
-                     if iota[i] == 0 and iota[j] == 0 and rows[i][j]),
-                    None)
+        pair = min(((i, j) for i, j in program.meets
+                    if iota[i - 1] == 0 and iota[j - 1] == 0), default=None)
         if pair is None:
+            a = build_intersection(build_cholesky(program))
             return centers, iota, s_vectors, program, a
-        centers = centers + [[pair[0] + 1, pair[1] + 1]]
+        centers = centers + [list(pair)]
         iota = iota + [1]
         s_vectors = {name: s + (0,) for name, s in s_vectors.items()}
 

@@ -56,14 +56,15 @@ def random_program_lists(rng, max_n=12):
 def random_marking_iota(rng, a):
     """Random 0/1 marking with no two adjacent dicritical components."""
     n = a.n
+    neighbors = [[] for _ in range(n)]
+    for i, j in a.meets:
+        neighbors[i - 1].append(j - 1)
+        neighbors[j - 1].append(i - 1)
     iota = [1] * n
     order = list(range(n))
     rng.shuffle(order)
     for i in order:
-        neighbors_invariant = all(
-            iota[j] == 1 for j in range(n)
-            if j != i and a.rows[i][j] != 0)
-        if neighbors_invariant and rng.random() < 0.4:
+        if all(iota[j] == 1 for j in neighbors[i]) and rng.random() < 0.4:
             iota[i] = 0
     return iota
 
@@ -140,7 +141,7 @@ def _holds(parts, check):
     if check == "prefix-consistency":
         for k in range(1, n + 1):
             sub = build_cholesky(program.prefix(k))
-            if a.prefix(k).cholesky.rows != sub.rows:
+            if tuple(row[:k] for row in f.rows[:k]) != sub.rows:
                 return False
         return True
     if check == "balanced-pairing":

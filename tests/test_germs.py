@@ -96,44 +96,17 @@ class TestGerm:
             Germ("0")
 
     def test_order_and_vanishing(self):
-        cusp = Germ("y^2 - x^3")
-        assert cusp.order() == 2 and cusp.vanishes()
+        assert Germ("y^2 - x^3").order() == 2
         assert Germ("x").order() == 1
-        unit = Germ("2 + x")
-        assert unit.order() == 0 and not unit.vanishes()
-
-    def test_leading_form(self):
-        assert Germ("y^2 - x^3").leading_form().as_expr() == Y**2
-        lf = Germ("x*y + y^2 + x^3").leading_form()
-        assert lf.as_expr() == X * Y + Y**2
-
-    def test_diff_accepts_names_and_symbols(self):
-        cusp = Germ("y^2 - x^3")
-        assert cusp.diff("x").expr == -3 * X**2
-        assert cusp.diff(X).expr == -3 * X**2
-        assert cusp.diff("y").expr == 2 * Y
-        assert cusp.diff(Y).expr == 2 * Y
-
-    def test_diff_of_constant_is_none(self):
-        assert Germ("3").diff("x") is None
-
-    def test_diff_unknown_variable(self):
-        with pytest.raises(InputError, match="no such variable"):
-            Germ("x").diff("z")
-
-    def test_partials(self):
-        fx, fy = Germ("y^2 - x^3").partials()
-        assert fx.expr == -3 * X**2 and fy.expr == 2 * Y
-
-    def test_evaluate(self):
-        assert Germ("y^2 - x^3").evaluate(2, 1) == -7
+        assert Germ("2 + x").order() == 0
 
     def test_reducedness(self):
-        assert Germ("y^2 - x^3").is_reduced_at_origin()
-        assert Germ("x*y").is_reduced_at_origin()
-        assert Germ("x^2 + y^2").is_reduced_at_origin()
-        assert not Germ("y^2").is_reduced_at_origin()
-        assert not Germ("(1+x)*y^2").is_reduced_at_origin()
+        # the package reads reducedness off the oracle: mu is finite
+        # exactly when no factor through the origin repeats
+        for text in ("y^2 - x^3", "x*y", "x^2 + y^2"):
+            assert oracle_milnor(Germ(text)) != INFINITE
+        for text in ("y^2", "(1+x)*y^2"):
+            assert oracle_milnor(Germ(text)) == INFINITE
 
     def test_combine(self):
         f, g = Germ("x*y + y^2 + x^3"), Germ("x*y")
@@ -424,6 +397,16 @@ class TestBifurcationCandidates:
     def test_generators_must_vanish(self):
         with pytest.raises(InputError, match="vanish at the origin"):
             bifurcation_candidates(Germ("1 + x"), Germ("y"))
+
+    def test_spurious_quartic_within_budget(self):
+        # under a random second shear this once raised
+        # ExtensionDegreeExceeded for the spurious factor
+        # 36t^4 - 15t^3 - 120t^2 + 100; the fixed shear order keeps it out
+        data = bifurcation_candidates(
+            Germ("2*x*y**3 + 5*y"), Germ("2*x**3 + x*y**2 - 2*x*y - y**3"),
+            max_ext_degree=3)
+        assert data.mu_generic == 0
+        assert data.candidates == ()
 
     def test_pencil_without_jumps(self):
         data = bifurcation_candidates(Germ("x"), Germ("y"))

@@ -10,12 +10,14 @@ from folindex import exact
 from folindex.blowup import (BlowUpProgram, build_cholesky,
                              build_intersection, intersection_by_steps,
                              proximity_check, valence)
-from folindex.divisors import (InvariantMarking, bal_pairing_check,
-                               enumerate_balanced, total_vector)
-from folindex.indices import (HypothesisLedger, gsv, gsv_sum_rule_check,
-                              intersection_number, milnor_along,
-                              milnor_curve, milnor_decomposition,
-                              milnor_foliation, quadratic_pairing)
+from folindex.divisors import (BranchAttachment, InvariantMarking,
+                               bal_pairing_check, enumerate_balanced,
+                               total_vector)
+from folindex.indices import (HypothesisLedger, discrepancies, gsv,
+                              gsv_sum_rule_check, intersection_number,
+                              milnor_along, milnor_curve,
+                              milnor_decomposition, milnor_foliation,
+                              quadratic_pairing, vanishing_orders)
 from folindex.scenes import decode_value, encode_value
 from folindex.verify import random_program_lists
 
@@ -111,7 +113,7 @@ class TestFactorization:
         lists = program.to_lists()
         for k in range(1, a.n + 1):
             sub = build_cholesky(BlowUpProgram.from_lists(lists[:k]))
-            assert a.prefix(k).cholesky.rows == sub.rows
+            assert tuple(row[:k] for row in f.rows[:k]) == sub.rows
 
 
 class TestQuadraticForm:
@@ -177,6 +179,63 @@ class TestSubstitution:
         t = tuple(rng.randint(0, 3) for _ in range(60))
         assert quadratic_pairing(s, t, a) == exact.dot(
             exact.matvec(a.neg_inverse(), s), t)
+
+
+class TestCenterLists:
+    """The adjacency and F v that the pairings read, against dense replays."""
+
+    @given(st.integers(0, 2**32), st.data())
+    def test_meets_valence_and_apply(self, seed, payload):
+        lists = random_program_lists(random.Random(seed), 16)
+        program = BlowUpProgram.from_lists(lists)
+        f = build_cholesky(program)
+        a = build_intersection(f)
+        steps = intersection_by_steps(program)
+        n = program.n
+        assert program.meets == {(i + 1, j + 1) for i in range(n)
+                                 for j in range(i + 1, n) if steps[i][j]}
+        for i in range(1, n + 1):
+            row = steps[i - 1]
+            assert valence(a, i) == sum(row) - row[i - 1]
+        v = payload.draw(vectors(n, -9, 9))
+        assert f.apply(v) == exact.matvec(f.rows, v)
+
+    def test_ten_thousand_blowups_build_no_dense_rows(self):
+        rng = random.Random("ten-thousand-blowups")
+        n = 10**4
+        lists = random_program_lists(rng, 2 * n)
+        while len(lists) < n:
+            lists = random_program_lists(rng, 2 * n)
+        program = BlowUpProgram.from_lists(lists[:n])
+        assert sum(len(c) == 2 for c in program.centers) > n // 4
+        f = build_cholesky(program)
+        a = build_intersection(f)
+        # a few pairwise non-adjacent dicritical components
+        iota = [1] * n
+        for i in rng.sample(range(2, n + 1), 6):
+            if all(iota[j - 1] for pair in a.meets if i in pair
+                   for j in pair):
+                iota[i - 1] = 0
+        marking = InvariantMarking(tuple(iota)).validate_against(a)
+        assert marking.dicritical()
+        s = [0] * n
+        for i in rng.sample(marking.invariant(), 3):
+            s[i - 1] += 1
+        s = tuple(s)
+        divisor = next(enumerate_balanced(
+            marking, a, (BranchAttachment("c", s),)))
+        s_b = total_vector(divisor, n)
+        mu = milnor_foliation(s_b, a, ledger())
+        assert milnor_decomposition(s_b, marking, a, ledger()).total == mu
+        ell = discrepancies(s_b, marking, f, ledger())
+        assert len(ell) == n
+        big_m, small_m = vanishing_orders(s, a)
+        u = exact.ones(n)
+        assert f.solve(small_m) == exact.vec_sub(big_m, u)
+        assert milnor_curve(exact.vec_add(s, s_b), a) == (
+            milnor_curve(s, a) + milnor_curve(s_b, a)
+            + 2 * intersection_number(s, s_b, a) - 1)
+        assert "rows" not in vars(f) and "rows" not in vars(a)
 
 
 class TestBalanced:
