@@ -9,7 +9,7 @@ import folindex as fx
 
 
 res = fx.derive_resolution({"f": "x*y + y^2 + x^3", "g": "x*y"},
-                           mode="pencil", seed=0)
+                           mode="pencil")
 model = res.pencil
 
 print("resolution tower")

@@ -24,6 +24,7 @@ are laid out on first read only; the references that compare against them
 their only readers.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,6 +60,12 @@ class BlowUpProgram:
     @property
     def n(self):
         return len(self.centers)
+
+    @cached_property
+    def valences(self):
+        """valences[i - 1]: how many components meet E_i; one pass over meets."""
+        counts = Counter(i for pair in self.meets for i in pair)
+        return tuple(counts[i] for i in range(1, self.n + 1))
 
     def prefix(self, k):
         """The program of the first k blow-ups (valid by construction)."""
@@ -235,7 +242,7 @@ def valence(a, i):
     """Number of components meeting E_i (the off-diagonal sum of row i of A)."""
     if not 1 <= i <= a.n:
         raise IndexOutOfRange(f"component {i} not in 1..{a.n}")
-    return sum(i in pair for pair in a.meets)
+    return a.cholesky.program.valences[i - 1]
 
 
 def proximity_check(f, a):

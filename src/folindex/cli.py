@@ -154,11 +154,10 @@ def _reduced_totals(report, s_b, a, marking, ledger, reduced, attachments):
                      cs + gsv(s_b, s, a), formula="Var = CS + GSV")
 
 
-def _polynomial_invariants(scene, report, args, seed, max_ext):
+def _polynomial_invariants(scene, report, args, max_ext):
     from .resolve import derive_resolution
 
-    res = derive_resolution(scene.germs, mode="curve", seed=seed,
-                            max_ext_degree=max_ext)
+    res = derive_resolution(scene.germs, mode="curve", max_ext_degree=max_ext)
     a = res.a
     report.add("components", a.n)
     for label in sorted(res.milnor):
@@ -199,7 +198,7 @@ def cmd_invariants(args):
         raise InputError("this scene requests pencil treatment; "
                          "run the pencil command")
     if scene.kind == "polynomial":
-        res = _polynomial_invariants(scene, report, args, seed, max_ext)
+        res = _polynomial_invariants(scene, report, args, max_ext)
         a, marking = res.a, res.marking
     else:
         _combinatorial_invariants(scene, report)
@@ -264,7 +263,7 @@ def cmd_pencil(args):
                              "run the invariants command")
         from .resolve import derive_resolution
 
-        res = derive_resolution(scene.germs, mode="pencil", seed=seed,
+        res = derive_resolution(scene.germs, mode="pencil",
                                 max_ext_degree=max_ext)
         model = res.pencil
         note = "agrees (resultant)" if args.oracle else None
@@ -318,9 +317,8 @@ def cmd_resolve(args):
     from .resolve import derive_resolution
 
     mode = "pencil" if scene.as_pencil else "curve"
-    seed, max_ext = _settings(scene, args)
-    res = derive_resolution(scene.germs, mode=mode, seed=seed,
-                            max_ext_degree=max_ext)
+    _, max_ext = _settings(scene, args)
+    res = derive_resolution(scene.germs, mode=mode, max_ext_degree=max_ext)
     doc = derived_scene(res, name=scene.name or "derived",
                         description=f"combinatorial replay of {args.scene}")
     text = dump_scene(doc, args.out)
@@ -386,7 +384,8 @@ def build_parser():
                            help="path to a JSON scene file")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=None,
-                       help="only picks a pencil's generic detector members"
+                       help="echoed in the report; nothing a scene "
+                       "command computes depends on it"
                        if scene else "seed of the random programs")
         p.add_argument("--max-ext-degree", dest="max_ext_degree", type=int,
                        default=None,

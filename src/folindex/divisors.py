@@ -196,6 +196,8 @@ def enumerate_balanced(marking, a, isolated_branches=(), max_branches=100,
     dic = marking.dicritical()
     targets = {i: 2 - valence(a, i) for i in dic}
     base = sum(abs(t) for t in targets.values()) + len(fixed)
+    if base > max_branches:
+        return      # the smallest divisor already needs more branches
 
     def unit(i):
         return tuple(1 if j == i - 1 else 0 for j in range(marking.n))
@@ -233,10 +235,14 @@ def enumerate_balanced(marking, a, isolated_branches=(), max_branches=100,
 
 
 def _compositions(total, parts):
+    """The ways to write total as an ordered sum of `parts` nonnegative
+    integers, in lexicographic order: stars and bars, where the chosen bar
+    positions among total + parts - 1 slots cut the stars into parts."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        cuts = (-1, *bars, slots)
+        yield tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))

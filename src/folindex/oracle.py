@@ -254,7 +254,10 @@ def bifurcation_candidates(f, g, max_ext_degree=8):
     number, and every jump is a root of c_u * e_u, with c_u(t) the
     coefficient of x^v.  The candidates are the rational factors of the
     gcd of c_u * e_u over the first two certified shears (k = 0
-    first); a factor without a jump is kept with status "spurious".
+    first); a factor without a jump is kept with status "spurious".  When
+    a factor's degree exceeds max_ext_degree, the gcd also takes in the
+    third certified shear, and ExtensionDegreeExceeded is raised only for
+    a factor that divides it too.
 
     Returns PencilBifurcationData; raises InputError when a generator is a
     unit, UnsupportedGerm when the generators share a branch, when one is
@@ -277,28 +280,33 @@ def bifurcation_candidates(f, g, max_ext_degree=8):
     h = _poly(f, T) + _poly(g, T) * Poly(T, Y, X, T)
     certificates = ((k, *_generic_certificate(pu, qu)) for k, pu, qu
                     in _certified_shears(_zz(h.diff(X)), _zz(h.diff(Y))))
-    (k, mu_gen, locus), (_, v2, c2) = next(certificates), next(certificates)
-    if v2 != mu_gen:
-        raise OracleMismatch(f"two certified shears give the generic Milnor "
-                             f"numbers {mu_gen} and {v2}")
-    locus = locus.gcd(c2)
+    k, mu_gen, locus = next(certificates)
+    for _ in range(2):
+        _, v, c = next(certificates)
+        if v != mu_gen:
+            raise OracleMismatch(f"two certified shears give the generic "
+                                 f"Milnor numbers {mu_gen} and {v}")
+        locus = locus.gcd(c)
+        factors = sorted((m for m, _ in locus.factor_list()[1]),
+                         key=lambda m: (m.degree(), str(m.as_expr())))
+        # a spurious factor over the budget drops out of the third shear's
+        # c * e; only a factor that stays is refused
+        if all(m.degree() <= max_ext_degree for m in factors):
+            break
 
     candidates = []
-    if locus.degree() > 0:
-        _, factors = locus.factor_list()
-        for m, _mult in sorted(factors, key=lambda fm: (fm[0].degree(),
-                                                        str(fm[0].as_expr()))):
-            value, mu = _certify_candidate(h, m, max_ext_degree, mu_f)
-            if mu is INFINITE:
-                raise UnsupportedGerm(f"the member at t = {value} is "
-                                      "non-reduced; out of scope")
-            if mu < mu_gen:
-                raise CandidateUncertified(
-                    f"candidate t = {value} has mu = {mu} below the certified "
-                    f"generic value {mu_gen}")
-            candidates.append(Candidate(
-                minpoly=m, value=value, conjugates=m.degree(), mu=mu,
-                status="bifurcation" if mu > mu_gen else "spurious"))
+    for m in factors:
+        value, mu = _certify_candidate(h, m, max_ext_degree, mu_f)
+        if mu is INFINITE:
+            raise UnsupportedGerm(f"the member at t = {value} is "
+                                  "non-reduced; out of scope")
+        if mu < mu_gen:
+            raise CandidateUncertified(
+                f"candidate t = {value} has mu = {mu} below the certified "
+                f"generic value {mu_gen}")
+        candidates.append(Candidate(
+            minpoly=m, value=value, conjugates=m.degree(), mu=mu,
+            status="bifurcation" if mu > mu_gen else "spurious"))
     return PencilBifurcationData(mu_generic=mu_gen,
                                  candidates=tuple(candidates), mu_f=mu_f,
                                  mu_g=mu_g, i0=i0, shear=(1, k, 0, 1))

@@ -21,7 +21,7 @@ totals.  A bug in the tree surfaces as OracleMismatch or CheckFailed,
 never as a silently wrong invariant.
 """
 
-import random
+import itertools
 from dataclasses import dataclass
 
 import sympy
@@ -424,21 +424,6 @@ def _normalize_germs(germs, mode):
     return items
 
 
-def _grow(items, max_ext_degree):
-    labels = {name: germ.poly.set_domain(QQ) for name, germ in items}
-    root = _Orbit(None, "root", None, None, (), QQ, labels, 1)
-    _blow(root, max_ext_degree)
-    return root
-
-
-def _finish_infos(root):
-    infos = []
-    for node in _walk(root):
-        for fin in node.finishes:
-            infos.append(_FinishInfo(fin, len(infos) + 1))
-    return infos
-
-
 def _branch_objects(infos, n):
     branches, attachments = {}, {}
     for info in infos:
@@ -512,17 +497,34 @@ def derive_resolution(germs, mode="curve", seed=0, max_ext_degree=8):
     Returns a DerivedResolution holding the blow-up program, attachment
     vectors, branch data and, for a pencil, the dicritical marking and the
     assembled PencilModel.  Every number is cross-checked against the
-    resultant oracle.  `seed` only draws a pencil's generic detector
-    members, whose labels t=... reach reports as generator names.
+    resultant oracle.  `seed` is accepted for callers that still pass it
+    and ignored: nothing in the derivation is drawn at random.
     """
     if mode == "curve":
-        resolution, _, _ = _derive_curves(_normalize_germs(germs, mode),
-                                          max_ext_degree)
+        resolution, _ = _derive_curves(_normalize_germs(germs, mode),
+                                       max_ext_degree)
         return resolution
     if mode == "pencil":
-        return _derive_pencil(_normalize_germs(germs, mode), seed,
-                              max_ext_degree)
+        return _derive_pencil(_normalize_germs(germs, mode), max_ext_degree)
     raise InputError(f"unknown mode {mode!r}; use 'curve' or 'pencil'")
+
+
+def _reduce(items, oracle_mu, oracle_i0, max_ext_degree):
+    """Grow the tree of the labelled germs, expand it to a program and
+    cross-check it: (program, a, s_vectors, infos, pairwise)."""
+    labels = {name: germ.poly.set_domain(QQ) for name, germ in items}
+    root = _Orbit(None, "root", None, None, (), QQ, labels, 1)
+    _blow(root, max_ext_degree)
+    program = BlowUpProgram.from_lists(_expand(root))
+    a = build_intersection(build_cholesky(program))
+    s_vectors = _s_vectors(root, program.n, list(labels))
+    infos = []
+    for node in _walk(root):
+        for fin in node.finishes:
+            infos.append(_FinishInfo(fin, len(infos) + 1))
+    pairwise = _check_tree(root, items, infos, s_vectors, a, oracle_mu,
+                           oracle_i0)
+    return program, a, s_vectors, infos, pairwise
 
 
 def _derive_curves(items, max_ext_degree):
@@ -540,21 +542,15 @@ def _derive_curves(items, max_ext_degree):
                                       "branch")
             oracle_i0[ni, nj] = v
 
-    root = _grow(items, max_ext_degree)
-    program = BlowUpProgram.from_lists(_expand(root))
-    a = build_intersection(build_cholesky(program))
-    names = [name for name, _ in items]
-    s_vectors = _s_vectors(root, program.n, names)
-    infos = _finish_infos(root)
-    pairwise = _check_tree(root, items, infos, s_vectors, a, oracle_mu,
-                           oracle_i0)
+    program, a, s_vectors, infos, pairwise = _reduce(
+        items, oracle_mu, oracle_i0, max_ext_degree)
     branches, attachments = _branch_objects(infos, program.n)
     marking = InvariantMarking((1,) * program.n).validate_against(a)
     resolution = DerivedResolution(
         program=program, a=a, marking=marking, s_vectors=s_vectors,
         milnor=oracle_mu, pairwise=pairwise, branches=branches,
         attachments=attachments, mode="curve")
-    return resolution, root, infos
+    return resolution, infos
 
 
 @dataclass(frozen=True)
@@ -579,7 +575,7 @@ def branch_analysis(germ, max_ext_degree=8):
     if germ.order() < 1:
         raise InputError("the germ does not vanish at the origin")
     name = germ.name or "f"
-    resolution, _, infos = _derive_curves([(name, germ)], max_ext_degree)
+    resolution, infos = _derive_curves([(name, germ)], max_ext_degree)
     pairwise = {}
     for i, fa in enumerate(infos):
         for fb in infos[i:]:
@@ -594,38 +590,39 @@ def branch_analysis(germ, max_ext_degree=8):
                       mu=resolution.milnor[name])
 
 
-def _fresh_parameters(taken, rng, count):
-    out = []
-    while len(out) < count:
-        t = sympy.Rational(rng.randint(1, 60), rng.randint(1, 12))
-        if rng.random() < 0.5:
-            t = -t
-        if t not in taken:
-            taken.add(t)
-            out.append(t)
-    return out
+def _detectors(candidates):
+    """Parameters t = 1, -1, 2, -2, 3, ... of generic detector members.
+
+    0 (the member f) and the value of every rational candidate are skipped.
+    The candidates hold every root of gcd(c_u e_u) over the certifying
+    shears (see bifurcation_candidates), and an integer avoids the roots of
+    every irreducible factor of degree above one, so each member f + t g
+    yielded here has the generic Milnor number."""
+    taken = {0} | {c.value for c in candidates if c.conjugates == 1}
+    for n in itertools.count(1):
+        for t in (n, -n):
+            if t not in taken:
+                yield sympy.Integer(t)
 
 
-def _separate_dicriticals(centers, iota, s_vectors):
+def _separate_dicriticals(program, iota, s_vectors):
     """Blow remaining corners between two dicritical components.
 
     Such a corner carries the one pencil member through it, which is
     generic whenever it is not already a label of the tree, so no tracked
     vector changes; the new component is invariant."""
     while True:
-        program = BlowUpProgram.from_lists(centers)
         pair = min(((i, j) for i, j in program.meets
                     if iota[i - 1] == 0 and iota[j - 1] == 0), default=None)
         if pair is None:
-            a = build_intersection(build_cholesky(program))
-            return centers, iota, s_vectors, program, a
-        centers = centers + [list(pair)]
+            return program, iota, s_vectors
+        program = BlowUpProgram.from_lists(program.to_lists() + [list(pair)])
         iota = iota + [1]
         s_vectors = {name: s + (0,) for name, s in s_vectors.items()}
 
 
-def _derive_pencil(items, seed, max_ext_degree):
-    (f_name, f), (g_name, g) = items
+def _derive_pencil(items, max_ext_degree):
+    (_, f), (g_name, g) = items
     data = bifurcation_candidates(f, g, max_ext_degree=max_ext_degree)
     special = [c for c in data.candidates if c.status == "bifurcation"]
     for c in special:
@@ -636,8 +633,6 @@ def _derive_pencil(items, seed, max_ext_degree):
                 "route needs rational special values")
     mu_pair = oracle_mu_pair(f, g)
 
-    rng = random.Random(f"reduction-{seed}")
-    taken = {sympy.Rational(c.value) for c in special} | {sympy.S.Zero}
     members = {}
     for c in special:
         t = sympy.Rational(c.value)
@@ -645,54 +640,37 @@ def _derive_pencil(items, seed, max_ext_degree):
     if data.mu_g > data.mu_generic:
         members[g_name] = (g, data.mu_g)
 
-    generators = [(f_name, f), (g_name, g)]
-    if data.mu_f > data.mu_generic:
-        generators[0] = None
-    if data.mu_g > data.mu_generic:
-        generators[1] = None
-
-    for _ in range(4):
-        gen1, gen2 = generators
-        if gen1 is None:
-            (t1,) = _fresh_parameters(taken, rng, 1)
-            gen1 = (f"t={t1}", f.combine(g, t1))
-        if gen2 is None:
-            (t2,) = _fresh_parameters(taken, rng, 1)
-            gen2 = (f"t={t2}", f.combine(g, t2))
-        labels = dict([gen1, gen2])
-        labels.update((name, germ) for name, (germ, _) in members.items())
-        if len(labels) != 2 + len(members):
-            raise InputError("generator names collide with pencil member "
-                             "labels; rename the input germs")
-        tree_items = list(labels.items())
-
-        oracle_mu = {gen1[0]: data.mu_generic, gen2[0]: data.mu_generic}
-        oracle_mu.update((name, mu) for name, (_, mu) in members.items())
-        root = _grow(tree_items, max_ext_degree)
-        centers = _expand(root)
-        names = [name for name, _ in tree_items]
-        s_vectors = _s_vectors(root, len(centers), names)
-        if s_vectors[gen1[0]] == s_vectors[gen2[0]]:
-            break
-        # a sampled member crossed a dicritical component non-transversally;
-        # resample both detectors
-        generators = [None, None]
-    else:
-        raise OracleMismatch("no two sampled generic members attach alike; "
-                             "the pencil structure looks unstable")
-
-    a = build_intersection(build_cholesky(BlowUpProgram.from_lists(centers)))
-    infos = _finish_infos(root)
+    # a special generator gives way to a generic detector member
+    detectors = _detectors(data.candidates)
+    generators = []
+    for (name, germ), mu in zip(items, (data.mu_f, data.mu_g)):
+        if mu > data.mu_generic:
+            t = next(detectors)
+            name, germ = f"t={t}", f.combine(g, t)
+        generators.append((name, germ))
+    (gen1, _), (gen2, _) = generators
+    labels = dict(generators)
+    labels.update((name, germ) for name, (germ, _) in members.items())
+    if len(labels) != 2 + len(members):
+        raise InputError("generator names collide with pencil member "
+                         "labels; rename the input germs")
+    oracle_mu = {gen1: data.mu_generic, gen2: data.mu_generic}
+    oracle_mu.update((name, mu) for name, (_, mu) in members.items())
     # two distinct members span the ideal (f, g), so they meet in i0(f, g)
-    oracle_i0 = {(gen1[0], gen2[0]): data.i0}
-    pairwise = _check_tree(root, tree_items, infos, s_vectors, a, oracle_mu,
-                           oracle_i0)
+    program, _, s_vectors, infos, pairwise = _reduce(
+        list(labels.items()), oracle_mu, {(gen1, gen2): data.i0},
+        max_ext_degree)
+    if s_vectors[gen1] != s_vectors[gen2]:
+        # generic members are equisingular (Le-Ramanujam), so they cross
+        # the same dicritical components transversally
+        raise OracleMismatch(f"the generic members {gen1} and {gen2} attach "
+                             "differently; the pencil structure looks "
+                             "unstable")
 
-    generic_s = s_vectors[gen1[0]]
-    iota = [0 if v else 1 for v in generic_s]
-    centers, iota, s_vectors, program, a = _separate_dicriticals(
-        centers, iota, s_vectors)
-    generic_s = s_vectors[gen1[0]]
+    iota = [0 if v else 1 for v in s_vectors[gen1]]
+    program, iota, s_vectors = _separate_dicriticals(program, iota, s_vectors)
+    a = build_intersection(build_cholesky(program))
+    generic_s = s_vectors[gen1]
     branches, attachments = _branch_objects(infos, program.n)
     marking = InvariantMarking(tuple(iota)).validate_against(a)
 
@@ -703,8 +681,7 @@ def _derive_pencil(items, seed, max_ext_degree):
                               second_class="asserted")
     model = PencilModel(a=a, marking=marking, bifurcation_fibers=fibers,
                         generic_s=generic_s, mu_generic=data.mu_generic,
-                        i0=data.i0, generators=(gen1[0], gen2[0]),
-                        ledger=ledger)
+                        i0=data.i0, generators=(gen1, gen2), ledger=ledger)
     s_b = total_vector(fiber_balanced_divisor(model), a.n)
     mu_model = milnor_foliation(s_b, a, ledger)
     if mu_model != mu_pair:
@@ -715,4 +692,4 @@ def _derive_pencil(items, seed, max_ext_degree):
         program=program, a=a, marking=marking, s_vectors=s_vectors,
         milnor=oracle_mu, pairwise=pairwise, branches=branches,
         attachments=attachments, mode="pencil", pencil=model,
-        bifurcation=data, generators=(gen1[0], gen2[0]), mu_pair=mu_pair)
+        bifurcation=data, generators=(gen1, gen2), mu_pair=mu_pair)

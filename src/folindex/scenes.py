@@ -17,9 +17,10 @@ combinatorial
     hypotheses       {"generalized_curve": "asserted", ...}
 
 polynomial
-    f (and optionally g) as expression strings in x, y; `seed` and
-    `max_extension_degree` control the derivation.  With g present the
-    document may also carry "pencil": true to request pencil treatment.
+    f (and optionally g) as expression strings in x, y;
+    `max_extension_degree` bounds the derivation's field extensions, and
+    `seed` is only echoed in the report.  With g present the document may
+    also carry "pencil": true to request pencil treatment.
 
 pencil (combinatorial pencil model)
     blowups, invariant, branches, hypotheses as above, and

@@ -1,13 +1,17 @@
 import itertools
+import random
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from folindex.blowup import BlowUpProgram, build_cholesky, build_intersection
 from folindex.divisors import (BranchAttachment, InvariantMarking,
-                               SeparatrixDivisor, bal_pairing_check,
-                               enumerate_balanced, is_balanced,
-                               require_balanced, total_vector)
+                               SeparatrixDivisor, _compositions,
+                               bal_pairing_check, enumerate_balanced,
+                               is_balanced, require_balanced, total_vector)
 from folindex.errors import InputError, NotBalanced
+from folindex.verify import random_program_lists, random_marking_iota
 
 
 @pytest.fixture
@@ -132,3 +136,47 @@ def test_all_invariant_marking_balances_trivially(tower):
     divisors = list(enumerate_balanced(
         mark, a, (BranchAttachment("cusp", (0, 0, 1)),)))
     assert len(divisors) == 1  # nothing dicritical to adjust
+
+
+def _recursive_compositions(total, parts):
+    # the recursive walk that _compositions replaced, kept as the reference
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+@given(st.integers(0, 6), st.integers(0, 5))
+def test_compositions_keep_the_recursive_order(total, parts):
+    assert list(_compositions(total, parts)) == \
+        list(_recursive_compositions(total, parts))
+
+
+def test_long_chain_yields_its_first_divisor():
+    # 3000 components in a chain, every other one dicritical: one
+    # composition part per dicritical component, far past the recursion limit
+    n = 3000
+    program = BlowUpProgram.from_lists([[]] + [[k] for k in range(1, n)])
+    a = build_intersection(build_cholesky(program))
+    mark = InvariantMarking(tuple(k % 2 for k in range(n)))
+    first = next(enumerate_balanced(mark, a, (), max_branches=10**6))
+    assert is_balanced(first, mark, a).ok
+
+
+def test_over_budget_marking_returns_before_the_walk():
+    # a random n = 10^4 program and marking with 2907 dicritical components:
+    # the targets alone need 1929 branches, past the default budget of 100
+    n = 10**4
+    rng = random.Random(0)
+    lists = random_program_lists(rng, 2 * n)
+    while len(lists) < n:
+        lists = random_program_lists(rng, 2 * n)
+    a = build_intersection(build_cholesky(BlowUpProgram.from_lists(lists[:n])))
+    start = time.perf_counter()
+    mark = InvariantMarking(tuple(random_marking_iota(rng, a)))
+    assert len(mark.dicritical()) == 2907
+    assert next(enumerate_balanced(mark, a, ()), None) is None
+    assert time.perf_counter() - start < 1.0

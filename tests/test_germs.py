@@ -385,6 +385,16 @@ class TestBifurcationCandidates:
         with pytest.raises(ExtensionDegreeExceeded, match="degree 2"):
             bifurcation_candidates(f, g, max_ext_degree=1)
 
+    def test_spurious_cubic_over_the_budget(self):
+        # 24576t^3 + 146240t^2 + 97200t + 295245 divides c * e under the
+        # first two certified shears and drops out under the third
+        data = bifurcation_candidates(Germ("-3*x**3 + 2*y"),
+                                      Germ("2*x**5 + 2*x**4 + 3*y**5"),
+                                      max_ext_degree=2)
+        assert data.mu_generic == 0
+        assert [(c.minpoly.as_expr(), c.mu, c.status)
+                for c in data.candidates] == [(T, 0, "spurious")]
+
     def test_non_reduced_member_rejected(self):
         f, g = Germ("y^2 + 2*x^2"), Germ("-2*x*y")
         with pytest.raises(UnsupportedGerm, match="non-reduced"):

@@ -162,13 +162,38 @@ def test_pencil_three_special_members():
 
 
 def test_pencil_special_generator_is_substituted():
-    # f itself is the cuspidal member, so a sampled generic member stands
-    # in for it and f appears as the special fiber at t = 0
+    # f itself is the cuspidal member, so the first detector member t = 1
+    # stands in for it and f appears as the special fiber at t = 0
     r = derive_resolution({"f": "y^2 - x^3", "g": "x*y"}, mode="pencil")
     assert "t=0" in r.s_vectors
-    assert r.generators[0].startswith("t=")
-    assert r.generators[1] == "g"
+    assert r.generators == ("t=1", "g")
     assert r.milnor["t=0"] == 2
+    assert bifurcation_formula_check(r.pencil).equal
+
+
+def test_detectors_skip_the_special_values():
+    # members (1 - t)(y^2 - x^3) + t(x^2 - y^3): cusps at t = 0 and t = 1,
+    # so the first free detector parameter is t = -1
+    f, h = "y^2 - x^3", "x^2 - y^3"
+    r = derive_resolution({"f": f, "g": f"{h} - ({f})"}, mode="pencil")
+    assert r.generators == ("t=-1", "g")
+    assert {fib.name: fib.mu for fib in r.pencil.bifurcation_fibers} == \
+        {"t=0": 2, "t=1": 2}
+    assert bifurcation_formula_check(r.pencil).equal
+
+
+def test_resolve_draws_nothing_at_random():
+    import folindex.resolve as resolve
+    assert not hasattr(resolve, "random")
+    assert not hasattr(resolve, "_fresh_parameters")
+
+
+def test_pencil_spurious_cubic_over_the_budget():
+    # the spurious cubic factor drops out at the third certified shear, so
+    # a budget of 2 reduces the pencil as the default budget does
+    f, g = "-3*x**3 + 2*y", "2*x**5 + 2*x**4 + 3*y**5"
+    r = derive_resolution({"f": f, "g": g}, mode="pencil", max_ext_degree=2)
+    assert r.mu_pair == 19
     assert bifurcation_formula_check(r.pencil).equal
 
 

@@ -205,9 +205,16 @@ class TestCli:
         assert "independent (resultant)" in out
 
     @pytest.mark.parametrize("name", ["cusp-curve", "node-cusp-germs",
-                                      "triple-tangent-pencil"])
-    def test_polynomial_reports_ignore_the_seed(self, name, capsys):
+                                      "triple-tangent-pencil",
+                                      "special-generator"])
+    def test_polynomial_reports_ignore_the_seed(self, name, tmp_path,
+                                                capsys):
         path = f"{SCENES}/{name}.json"
+        if name == "special-generator":
+            # f is the cuspidal member, so a detector member stands in for it
+            path = str(tmp_path / f"{name}.json")
+            dump_scene(polynomial_scene("y^2 - x^3", "x*y", pencil=True),
+                       path)
         with open(path) as handle:
             command = ("pencil" if json.load(handle).get("pencil")
                        else "invariants")
