@@ -9,10 +9,10 @@ interval or rectangle, as candidates.  The new generator is the candidate
 nearest to phi's first numeric root; that is decided exactly, in
 rationals, refining only the intervals of candidates that could still be
 nearest.  The choice is then certified by arithmetic in the extended
-field K': phi, carried into K' through the coordinates of theta, must
-vanish at the new generator.  A precision shortfall can only cause a
-retry, never a wrong tower.  The root comes back as an element of K',
-which Polys enter by `Poly.set_domain`.
+field K', built from one primitive element of gens': phi, carried into
+K' by `lift`, must vanish at the new generator.  A precision shortfall
+can only cause a retry, never a wrong tower.  The root and theta come
+back as elements of K', and Polys over K enter K' by the same `lift`.
 """
 
 from fractions import Fraction
@@ -23,11 +23,6 @@ from sympy import Poly, QQ
 from .errors import CheckFailed, ExtensionDegreeExceeded
 
 ALPHA = sympy.Symbol("_alpha")
-
-
-def field_of(gens):
-    """The sympy domain QQ(gens); plain QQ for the empty tower."""
-    return QQ.algebraic_field(*gens) if gens else QQ
 
 
 def field_degree(K):
@@ -94,24 +89,14 @@ def _horner(coeffs, x, K):
     return value
 
 
-def _embedding(K, gens2, K2):
-    """K's primitive element and the new generator gens2[-1] as elements
-    of K2 = field_of(gens2), for K = field_of(gens2[:-1]).
-
-    sympy builds a primitive element one generator at a time, so K's is
-    the leading part of the combination that gives K2's.  Both
-    combinations are checked against the fields before they are used.
-    """
-    minpoly, coeffs, reps = sympy.primitive_element(gens2, ex=True,
-                                                    polys=True)
-    terms = [c * g for c, g in zip(coeffs, gens2)]
-    if QQ.algebraic_field((minpoly, sum(terms))) != K2 or \
-            (K != QQ and K.ext.root != sum(terms[:-1])):
-        raise CheckFailed(f"the primitive elements of {gens2} do not "
-                          "match their fields")
-    reps = [K2(rep) for rep in reps]
-    theta = sum((c * r for c, r in zip(coeffs, reps[:-1])), K2.zero)
-    return theta, reps[-1]
+def lift(p, theta, K2):
+    """p, a Poly over QQ or over K = QQ(theta), as a Poly over K2 ⊇ K:
+    each coefficient is evaluated by Horner at theta, K's primitive
+    element written as an element of K2 (zero for K = QQ)."""
+    algebraic = p.domain.is_AlgebraicField
+    return Poly.from_dict(
+        {m: _horner(c.to_list() if algebraic else [c], theta, K2)
+         for m, c in p.as_dict(native=True).items()}, *p.gens, domain=K2)
 
 
 def extend(gens, K, phi, max_degree):
@@ -120,14 +105,16 @@ def extend(gens, K, phi, max_degree):
     The candidates are the CRootOf's of the rational factors of phi's
     norm.  At each precision of the ladder, the new generator is the
     candidate nearest to phi's first numeric root, decided exactly from
-    the candidates' isolating intervals.  It is accepted only when phi,
-    mapped into K' = QQ(gens') through the coordinates of K's primitive
-    element, vanishes at it by exact arithmetic in K'.
+    the candidates' isolating intervals.  K' = QQ(gens') comes from one
+    primitive element of gens', whose leading part must be K's.  The root
+    is accepted only when phi, lifted into K', vanishes at it by exact
+    arithmetic in K'.
 
-    Returns (gens', K', beta') with beta' the new root as an element of
-    K'.  Raises ExtensionDegreeExceeded when the composite degree would
-    pass max_degree, CheckFailed when no numeric identification of the
-    root can be certified exactly.
+    Returns (gens', K', beta', theta') with beta' the new root and theta'
+    K's primitive element (zero for K = QQ) as elements of K'.  Raises
+    ExtensionDegreeExceeded when the composite degree would pass
+    max_degree, CheckFailed when no numeric identification of the root
+    can be certified exactly.
     """
     total = field_degree(K) * phi.degree()
     if total > max_degree:
@@ -145,11 +132,19 @@ def extend(gens, K, phi, max_degree):
         if beta_expr is None:
             continue
         gens2 = tuple(gens) + (beta_expr,)
-        K2 = field_of(gens2)
-        theta, beta = _embedding(K, gens2, K2)
-        mapped = [_horner([c] if K == QQ else c.to_list(), theta, K2)
-                  for c in phi.rep.to_list()]
-        if not _horner(mapped, beta, K2):
-            return gens2, K2, beta
+        # sympy builds a primitive element one generator at a time, so K's
+        # is the leading part of the combination that gives K2's
+        minpoly, coeffs, reps = sympy.primitive_element(gens2, ex=True,
+                                                        polys=True)
+        terms = [c * g for c, g in zip(coeffs, gens2)]
+        if K != QQ and K.ext.root != sum(terms[:-1]):
+            raise CheckFailed(f"the primitive element of {gens2} does not "
+                              "extend that of its first generators")
+        K2 = QQ.algebraic_field((minpoly, sum(terms)))
+        reps = [K2(rep) for rep in reps]
+        theta = sum((c * r for c, r in zip(coeffs, reps[:-1])), K2.zero)
+        beta = reps[-1]
+        if not _horner(lift(phi, theta, K2).rep.to_list(), beta, K2):
+            return gens2, K2, beta, theta
     raise CheckFailed(f"could not certify a root of {phi.as_expr()} "
                       f"numerically at any precision")

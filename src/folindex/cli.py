@@ -371,6 +371,17 @@ def cmd_verify(args):
 
 # -- entry point --------------------------------------------------------------
 
+def _extension_budget(text):
+    """argparse type of --max-ext-degree: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="folindex",
@@ -387,7 +398,8 @@ def build_parser():
                        help="echoed in the report; nothing a scene "
                        "command computes depends on it"
                        if scene else "seed of the random programs")
-        p.add_argument("--max-ext-degree", dest="max_ext_degree", type=int,
+        p.add_argument("--max-ext-degree", dest="max_ext_degree",
+                       type=_extension_budget,
                        default=None,
                        help="largest tolerated algebraic extension degree")
 

@@ -256,5 +256,4 @@ class Germ:
 
     def combine(self, other, t):
         """The member f + t*other of the pencil spanned with another germ."""
-        return Germ(sympy.Poly(self.poly.as_expr() + t * other.poly.as_expr(),
-                               X, Y))
+        return Germ(self.poly + t * other.poly)

@@ -11,8 +11,9 @@ blow-up program, the attachment vectors, the dicritical marking of a
 pencil, per-branch multiplicity sequences and characteristic exponents.
 
 Strict transforms stay Polys in (x, y) over the current field: a chart
-is a monomial map, a field change `Poly.set_domain`, and the translation
-to a root `germs.substitute` with the root kept as a field element.
+is a monomial map, a field change `algfield.lift` through the embedding
+`extend` returns, and the translation to a root `germs.substitute` with
+the root kept as a field element.
 
 Everything derived here is cross-checked: intersection numbers three ways
 (resultant oracle, quadratic pairing, multiplicity sums over the tree),
@@ -22,12 +23,13 @@ never as a silently wrong invariant.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import sympy
 from sympy import Poly, QQ
 
-from .algfield import ALPHA, extend
+from .algfield import ALPHA, extend, lift
 from .blowup import BlowUpProgram, build_cholesky, build_intersection
 from .divisors import BranchAttachment, InvariantMarking, total_vector
 from .errors import (CheckFailed, ExtensionDegreeExceeded, InputError,
@@ -131,17 +133,20 @@ def _blow(node, max_ext_degree):
         for phi, mult in q.factor_list()[1]:
             phi = phi.monic()
             merged.setdefault(phi, {})[name] = mult
+    # printing a Poly over a number field refines its CRootOf
+    # coefficients, so the name breaks ties in degree only
+    degrees = [phi.degree() for phi in merged]
     for phi, mults in merged.items():
-        step = "zero" if phi.as_expr() == Y else "free"
-        points.append(((phi.degree(), str(phi.as_expr())), step, phi, mults))
+        step = "zero" if phi.is_monomial and phi.degree() == 1 else "free"
+        text = str(phi.as_expr()) if degrees.count(phi.degree()) > 1 else ""
+        points.append(((phi.degree(), text), step, phi, mults))
     points.sort(key=lambda entry: entry[0])
 
     for _, step, phi, mults in points:
         other_axis = (node.axis_x if step == "inf" else
                       node.axis_y if step == "zero" else None)
         rel = 1 if phi is None else phi.degree()
-        tangent = _root_tangent(node, step, phi) if phi is not None or \
-            step == "inf" else None
+        tangent = _root_tangent(node, step, phi)
         if other_axis is None and sum(mults.values()) == 1:
             (label,) = mults
             node.finishes.append(_Finish(label, node, step, rel, tangent))
@@ -156,13 +161,14 @@ def _blow(node, max_ext_degree):
             if phi.degree() == 1:
                 beta = -phi.rep.TC()    # phi is monic: y - beta
             else:
-                gens, K, beta = extend(node.gens, node.K, phi, max_ext_degree)
+                gens, K, beta, theta = extend(node.gens, node.K, phi,
+                                              max_ext_degree)
             x = Poly.from_dict({(1, 0): K.one}, X, Y, domain=K)
             y_beta = Poly.from_dict({(0, 1): K.one, (0, 0): beta}, X, Y,
                                     domain=K)
             for name, p in labels.items():
                 if K is not node.K:
-                    p = p.set_domain(K)
+                    p = lift(p, theta, K)
                 if beta:
                     p = substitute(p, x, y_beta)
                 labels[name] = p
@@ -322,10 +328,7 @@ def _char_exponents(path, mults, fin):
                               "replayed orders")
 
     exponents = (m0, *pairs)
-    g = 0
-    for e in exponents:
-        g = sympy.igcd(g, e)
-    if g != 1:
+    if math.gcd(*exponents) != 1:
         raise CheckFailed(f"characteristic exponents {exponents} are not "
                           "coprime; the branch replay is inconsistent")
     return exponents

@@ -18,9 +18,10 @@ combinatorial
 
 polynomial
     f (and optionally g) as expression strings in x, y;
-    `max_extension_degree` bounds the derivation's field extensions, and
-    `seed` is only echoed in the report.  With g present the document may
-    also carry "pencil": true to request pencil treatment.
+    `max_extension_degree` (an integer >= 1) bounds the derivation's field
+    extensions, and `seed` (an integer) is only echoed in the report.  With
+    g present the document may also carry "pencil": true to request pencil
+    treatment.
 
 pencil (combinatorial pencil model)
     blowups, invariant, branches, hypotheses as above, and
@@ -39,6 +40,10 @@ from .indices import HypothesisLedger, ReducedSingularity
 from .pencil import Fiber, PencilModel
 
 KINDS = ("combinatorial", "polynomial", "pencil")
+
+
+def _is_int(obj):
+    return isinstance(obj, int) and not isinstance(obj, bool)
 
 
 def decode_value(obj, where=""):
@@ -277,8 +282,16 @@ class Scene:
         except Exception as exc:
             raise SceneParseError(f"{src}: {exc}")
         self.seed = data.get("seed", 0)
+        if not _is_int(self.seed):
+            raise SceneParseError(f"{src}: 'seed' must be an integer")
         self.max_extension_degree = data.get("max_extension_degree", 8)
-        self.as_pencil = bool(data.get("pencil", "g" in data))
+        if not _is_int(self.max_extension_degree) or \
+                self.max_extension_degree < 1:
+            raise SceneParseError(f"{src}: 'max_extension_degree' must be "
+                                  "an integer >= 1")
+        self.as_pencil = data.get("pencil", "g" in data)
+        if not isinstance(self.as_pencil, bool):
+            raise SceneParseError(f"{src}: 'pencil' must be true or false")
         if self.as_pencil and "g" not in data:
             raise SceneParseError(f"{src}: pencil treatment needs both "
                                   "'f' and 'g'")

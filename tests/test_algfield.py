@@ -13,6 +13,7 @@ import sympy
 from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 from sympy import Poly, QQ
+from sympy.polys.numberfields import subfield
 
 from folindex import algfield
 from folindex.algfield import ALPHA, _numeric_roots, extend
@@ -81,14 +82,14 @@ def towers(draw):
 @example((poly_over(QQ, [QQ(0), QQ(-3)]), [(0, 0), (0, -3), (1, 0)]))
 def test_choice_matches_numeric_identification(tower):
     first, second = tower
-    gens, K, beta = extend((), QQ, first, 9)
+    gens, K, beta, _ = extend((), QQ, first, 9)
     assert gens == (reference_choice((), first),)
     assert K.from_sympy(gens[0]) == beta
     if second is None:
         return
     phi = poly_over(K, [a * beta + b for a, b in second])
     assume(phi.is_irreducible and on_axis(phi))
-    gens2, K2, beta2 = extend(gens, K, phi, 9)
+    gens2, K2, beta2, _ = extend(gens, K, phi, 9)
     assert gens2 == gens + (reference_choice(gens, phi),)
     assert K2.from_sympy(gens2[-1]) == beta2
 
@@ -97,7 +98,7 @@ def test_cubic_whose_complex_root_comes_first():
     # the complex roots of t^3 - 2 have real part -2^(1/3)/2 < 2^(1/3), so
     # the first numeric root is complex while CRootOf index 0 is real
     phi = Poly(Y**3 - 2, Y, domain=QQ)
-    gens, K, beta = extend((), QQ, phi, 3)
+    gens, K, beta, _ = extend((), QQ, phi, 3)
     assert gens == (reference_choice((), phi),) == \
         (sympy.CRootOf(ALPHA**3 - 2, 1),)
     assert beta == K.unit
@@ -110,8 +111,26 @@ def test_choice_refines_no_candidate_to_digits(monkeypatch):
     monkeypatch.setattr(sympy.CRootOf, "eval_rational", refuse)
     monkeypatch.setattr(sympy.CRootOf, "eval_approx", refuse)
     for d in (-1, -3, 2, 7):
-        gens, K, _ = extend((), QQ, Poly(Y**2 - d, Y, domain=QQ), 2)
+        gens, K, _, _ = extend((), QQ, Poly(Y**2 - d, Y, domain=QQ), 2)
         assert gens == (sympy.CRootOf(ALPHA**2 - d, 0),)
+
+
+def test_extend_builds_one_primitive_element(monkeypatch):
+    # QQ.algebraic_field(*gens) reaches primitive_element through
+    # sympy.polys.numberfields.subfield; patch that name and sympy's own
+    calls = []
+    original = subfield.primitive_element
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(subfield, "primitive_element", counted)
+    monkeypatch.setattr(sympy, "primitive_element", counted)
+    gens, K, beta = extend((), QQ, Poly(Y**2 - 2, Y, domain=QQ), 4)[:3]
+    assert len(calls) == 1
+    extend(gens, K, poly_over(K, [2 * beta, -K.one]), 4)
+    assert len(calls) == 2
 
 
 def test_wrong_rational_factor_fails_certificate(monkeypatch):
@@ -130,7 +149,7 @@ def test_conjugate_root_fails_certificate(monkeypatch):
     # over K = Q(sqrt 2), phi = y^2 - 2 sqrt(2) y - 1 has the roots
     # sqrt(2) +- sqrt(3); -sqrt(2) + sqrt(3) is a root of the norm, from
     # the right rational factor, but a root of phi's conjugate only
-    gens, K, root2 = extend((), QQ, Poly(Y**2 - 2, Y, domain=QQ), 4)
+    gens, K, root2, _ = extend((), QQ, Poly(Y**2 - 2, Y, domain=QQ), 4)
     assert gens == (sympy.CRootOf(ALPHA**2 - 2, 0),)     # -sqrt(2)
     phi = poly_over(K, [2 * root2, -K.one])
     value = (sympy.sqrt(3) - sympy.sqrt(2)).evalf(60)
@@ -142,7 +161,7 @@ def test_conjugate_root_fails_certificate(monkeypatch):
 
 def test_degree_budget_edge():
     quadratic = Poly(Y**2 + 1, Y, domain=QQ)
-    gens, K, _ = extend((), QQ, quadratic, 2)
+    gens, K, _, _ = extend((), QQ, quadratic, 2)
     with pytest.raises(ExtensionDegreeExceeded,
                        match="degree-2 extension of Q; the budget is 1"):
         extend((), QQ, quadratic, 1)

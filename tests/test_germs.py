@@ -1,5 +1,6 @@
 """Parser, germ arithmetic, and the resultant-valuation oracle."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ, ZZ, Poly
 
 from folindex import oracle
+from folindex.algfield import extend, lift
 from folindex.errors import (ExtensionDegreeExceeded, GermSyntaxError,
                              InputError, NonPolynomial, UnsupportedGerm)
 from folindex.germs import Germ, X, Y, parse_germ, substitute
@@ -114,6 +116,13 @@ class TestGerm:
         assert f.combine(g, F(3, 5)).expr == sympy.expand(
             sympy.Rational(8, 5) * X * Y + Y**2 + X**3)
 
+    @pytest.mark.parametrize("t", [sympy.Integer(1), sympy.Integer(-1),
+                                   sympy.Integer(2), sympy.Rational(1, 2)])
+    def test_combine_matches_expr_construction(self, t):
+        f, g = Germ("x*y + y^2 + x^3"), Germ("3/2*x*y - y^5")
+        want = Poly(f.poly.as_expr() + t * g.poly.as_expr(), X, Y)
+        assert f.combine(g, t).poly == want.set_domain(QQ)
+
 
 def _field(r):
     K = QQ.algebraic_field(r)
@@ -167,6 +176,39 @@ class TestSubstitute:
         y = Poly(Y - 2, Y, X, T, domain=QQ)
         assert substitute(p, x, y) == Poly(
             T * (X + Y) * (Y - 2) + (Y - 2)**2, Y, X, T, domain=QQ)
+
+
+@functools.cache
+def lift_case(name):
+    """(K, r, K2, theta): K and r as in DOMAINS, or the tower field Q(sqrt 2)
+    of `extend` with r its generator; `extend` gives K2 = K(sqrt 3) and
+    theta, K's primitive element in K2."""
+    if name == "tower":
+        gens, K, r, _ = extend((), QQ, Poly(Y**2 - 2, Y, domain=QQ), 4)
+    else:
+        K, r = DOMAINS[name]
+        gens = (K.ext.root,) if K.is_AlgebraicField else ()
+    base = K if K.is_AlgebraicField else QQ
+    _, K2, _, theta = extend(gens, base, Poly(Y**2 - 3, Y, domain=base), 8)
+    return K, r, K2, theta
+
+
+class TestLift:
+    """algfield.lift against the generic Poly.set_domain."""
+
+    @pytest.mark.parametrize("name", [*DOMAINS, "tower"])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_matches_set_domain(self, name, data):
+        K, r, K2, theta = lift_case(name)
+        coeff = st.builds(lambda a, b, d: (K.convert(a) + K.convert(b) * r)
+                          / (K.one if K == ZZ else K.convert(d)),
+                          st.integers(-3, 3), st.integers(-2, 2),
+                          st.integers(1, 3))
+        rep = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 2),
+                                        coeff, max_size=6))
+        p = Poly.from_dict(rep, X, Y, domain=K)
+        assert lift(p, theta, K2) == p.set_domain(K2)
 
 
 class TestIntersectionOracle:

@@ -17,15 +17,17 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 import sympy
+from sympy import Poly
 
 from folindex.cli import main
 from folindex.errors import ExtensionDegreeExceeded
-from folindex.resolve import branch_analysis
+from folindex.resolve import branch_analysis, derive_resolution
 from folindex.scenes import encode_value
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / \
@@ -117,6 +119,29 @@ def test_golden_covers_every_case(golden):
                          ids=[case for case, _, _ in cases()])
 def test_tower_matches_golden(case, germ, extra, golden, tmp_path):
     assert run_case(germ, extra, tmp_path) == golden[case]
+
+
+def test_field_changes_skip_set_domain(monkeypatch):
+    # strict transforms enter an extended field through algfield.lift;
+    # only calls from folindex count (sympy's primitive_element makes some)
+    targets = []
+    original = Poly.set_domain
+
+    def spy(self, domain):
+        out = original(self, domain)
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if out.domain.is_AlgebraicField and caller.startswith("folindex"):
+            targets.append((caller, out.domain))
+        return out
+
+    monkeypatch.setattr(Poly, "set_domain", spy)
+    for _, germ, extra in cases():
+        with contextlib.suppress(ExtensionDegreeExceeded):
+            derive_resolution(germ, max_ext_degree=int(extra[1]) if extra
+                              else 8)
+    # a pencil whose members have conjugate tangents over Q(i)
+    derive_resolution({"f": "y^2 + x^2", "g": "x^3 + y^3"}, mode="pencil")
+    assert targets == []
 
 
 if __name__ == "__main__":

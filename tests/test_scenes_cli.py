@@ -281,6 +281,39 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["invariants", "--scene", str(path)]) == 3
 
+    @pytest.mark.parametrize("key, value, reason", [
+        ("max_extension_degree", "abc", "'max_extension_degree' must be"),
+        ("max_extension_degree", None, "'max_extension_degree' must be"),
+        ("max_extension_degree", True, "'max_extension_degree' must be"),
+        ("max_extension_degree", 1.5, "'max_extension_degree' must be"),
+        ("max_extension_degree", -1, "'max_extension_degree' must be"),
+        ("pencil", "no", "'pencil' must be true or false"),
+        ("seed", "7", "'seed' must be an integer"),
+        ("seed", 1.5, "'seed' must be an integer"),
+    ])
+    def test_exit_code_malformed_setting(self, tmp_path, capsys, key, value,
+                                         reason):
+        doc = {"kind": "polynomial", "f": "y^2 - x^3", "g": "x*y",
+               key: value}
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(doc))
+        assert main(["invariants", "--scene", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ")
+        assert reason in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_cli_rejects_extension_budget_below_one(self, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["invariants", "--scene", f"{SCENES}/cusp-curve.json",
+                  "--max-ext-degree", value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--max-ext-degree: must be at least 1, not {value}" in \
+            captured.err
+        assert captured.out == ""
+
     def test_exit_code_violated_expectation(self, tmp_path, capsys):
         doc = json.loads(open(f"{SCENES}/radial.json").read())
         doc["expected"]["mu(foliation)"] = 99
