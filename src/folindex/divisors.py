@@ -15,6 +15,7 @@ Balanced divisors exist for every marking, and all of them share the same
 total vector, which is what the invariant formulas consume.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -123,10 +124,11 @@ def total_vector(divisor, n=None):
     sizes = {len(b.s) for b, _ in divisor.terms}
     if len(sizes) != 1 or (n is not None and sizes != {n}):
         raise DimensionMismatch(f"branch vector lengths disagree: {sorted(sizes)}")
-    total = (0,) * sizes.pop()
+    total = [0] * sizes.pop()
     for b, a in divisor.terms:
-        total = exact.vec_add(total, exact.vec_scale(a, b.s))
-    return total
+        for j, e in enumerate(b.s):
+            total[j] += a * e
+    return tuple(total)
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,7 @@ def enumerate_balanced(marking, a, isolated_branches=(), max_branches=100,
     if base > max_branches:
         return      # the smallest divisor already needs more branches
 
+    @functools.cache    # one vector per dicritical component, not per branch
     def unit(i):
         return tuple(1 if j == i - 1 else 0 for j in range(marking.n))
 

@@ -9,9 +9,11 @@ smallest one that still fails, as a combinatorial scene document.
 
 Each check is a pure predicate of the parts built once from a
 scene-shaped dict, so the document in the exception is exactly what a
-re-run needs.
+re-run needs.  The balanced divisors and their total vectors are derived
+once per program, on first use, and the checks that need them share them.
 """
 
+import functools
 import itertools
 import random
 
@@ -100,16 +102,31 @@ def random_scene_doc(rng, max_n=12):
 
 # -- evaluation of one check over a scene document ---------------------------
 
-def _build(doc):
-    program = BlowUpProgram.from_lists(doc["blowups"])
-    f = build_cholesky(program)
-    a = build_intersection(f)
-    marking = InvariantMarking(tuple(doc["invariant"])).validate_against(a)
-    isolated, probes = [], []
-    for entry in doc["branches"]:
-        b = BranchAttachment(entry["name"], tuple(entry["s"]))
-        (probes if entry["name"] in PROBES else isolated).append(b)
-    return program, f, a, marking, isolated, probes
+class _Parts:
+    """What one scene document builds: program, Cholesky factor F,
+    intersection matrix A, marking, isolated and probe branches."""
+
+    def __init__(self, doc):
+        self.program = BlowUpProgram.from_lists(doc["blowups"])
+        self.f = build_cholesky(self.program)
+        self.a = build_intersection(self.f)
+        self.marking = InvariantMarking(
+            tuple(doc["invariant"])).validate_against(self.a)
+        self.isolated, self.probes = [], []
+        for entry in doc["branches"]:
+            b = BranchAttachment(entry["name"], tuple(entry["s"]))
+            (self.probes if entry["name"] in PROBES
+             else self.isolated).append(b)
+
+    @functools.cached_property
+    def divisors(self):
+        """The first four balanced divisors, each with its total vector.
+
+        Derived on first read, so an enumeration error surfaces in the
+        first check that needs the divisors."""
+        found = itertools.islice(
+            enumerate_balanced(self.marking, self.a, tuple(self.isolated)), 4)
+        return [(d, total_vector(d, self.a.n)) for d in found]
 
 
 def _ledger():
@@ -117,14 +134,13 @@ def _ledger():
                             generalized_curve="asserted")
 
 
-def _divisors(marking, a, isolated):
-    return list(itertools.islice(
-        enumerate_balanced(marking, a, tuple(isolated)), 4))
-
-
 def _holds(parts, check):
-    """True iff the named identity holds on a document's built parts."""
-    program, f, a, marking, isolated, probes = parts
+    """True iff the named identity holds on a document's built parts.
+
+    The balanced divisors and their total vectors are derived once per
+    parts object, on first use, and shared by the checks that read them."""
+    program, f, a = parts.program, parts.f, parts.a
+    marking, isolated, probes = parts.marking, parts.isolated, parts.probes
     n = a.n
     if check == "steps-factorization":
         return intersection_by_steps(program) == a.rows and \
@@ -146,21 +162,19 @@ def _holds(parts, check):
         return True
     if check == "balanced-pairing":
         return all(bal_pairing_check(d, marking, a, f) == 0
-                   for d in _divisors(marking, a, isolated))
+                   for d, _ in parts.divisors)
     if check == "balanced-independence":
-        mus = {milnor_foliation(total_vector(d, n), a, _ledger())
-               for d in _divisors(marking, a, isolated)}
+        mus = {milnor_foliation(s_b, a, _ledger())
+               for _, s_b in parts.divisors}
         return len(mus) <= 1
     if check == "decomposition":
-        for d in _divisors(marking, a, isolated):
-            s_b = total_vector(d, n)
+        for _, s_b in parts.divisors:
             dec = milnor_decomposition(s_b, marking, a, _ledger())
             if dec.total != milnor_foliation(s_b, a, _ledger()):
                 return False
         return True
     if check == "telescoping":
-        for d in _divisors(marking, a, isolated):
-            s_b = total_vector(d, n)
+        for d, s_b in parts.divisors:
             mu = milnor_foliation(s_b, a, _ledger())
             tele = sum(c * (milnor_along(s_b, b.s, a) - 1)
                        for b, c in d.terms) + 1
@@ -168,8 +182,7 @@ def _holds(parts, check):
                 return False
         return True
     if check == "gsv-along":
-        for d in _divisors(marking, a, isolated):
-            s_b = total_vector(d, n)
+        for _, s_b in parts.divisors:
             for b in isolated:
                 along = milnor_along(s_b, b.s, a)
                 if along != gsv(s_b, b.s, a) + milnor_curve(b.s, a):
@@ -179,8 +192,8 @@ def _holds(parts, check):
         if len(probes) < 2:
             return True
         s1, s2 = probes[0].s, probes[1].s
-        for d in _divisors(marking, a, isolated):
-            if not gsv_sum_rule_check(total_vector(d, n), s1, s2, a).ok:
+        for _, s_b in parts.divisors:
+            if not gsv_sum_rule_check(s_b, s1, s2, a).ok:
                 return False
         return True
     if check == "quadratic-bilinearity":
@@ -204,7 +217,7 @@ CHECKS = (
 
 def _fails(doc, check):
     try:
-        parts = _build(doc)
+        parts = _Parts(doc)
     except FolindexError:
         return False
     try:
@@ -269,7 +282,7 @@ def verify_battery(count=200, seed=0, max_n=12):
             ok = False
             try:
                 if parts is None:
-                    parts = _build(doc)
+                    parts = _Parts(doc)
                 ok = _holds(parts, check)
             finally:
                 if not ok:
